@@ -117,7 +117,9 @@ func BenchmarkFig6NodeScaling(b *testing.B) {
 
 // BenchmarkFig7OpticalVsElectrical regenerates Figure 7 (paper headline:
 // O-Ring −48.74% vs E-Ring; WRHT −61.23%/−55.51% vs E-Ring/E-RD). The
-// electrical flow simulation dominates the runtime.
+// electrical runs dominate the runtime, and within them the per-step
+// memo keys and the schedule check: the fluid solver itself runs once
+// per distinct step (one step for all of E-Ring).
 func BenchmarkFig7OpticalVsElectrical(b *testing.B) {
 	o := exp.Defaults()
 	var r exp.Fig7Result

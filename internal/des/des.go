@@ -1,13 +1,14 @@
 // Package des is a minimal discrete-event simulation kernel: a
 // time-ordered event queue with deterministic FIFO tie-breaking. The
-// electrical fat-tree simulator uses it to sequence flow completions and
-// the training simulator uses it to interleave per-worker compute and
-// communication phases.
+// optical ring's event-driven mode (optical.RunScheduleDES, which the
+// straggler study perturbs per transfer) uses it to sequence
+// reconfigurations and circuit completions, and the training simulator
+// uses it to interleave per-worker compute and communication phases.
 package des
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 )
 
 // Hook observes the kernel's event lifecycle. Both methods run
@@ -25,7 +26,7 @@ type Hook interface {
 	EventFired(seq uint64, now float64, label string)
 }
 
-// Event is a scheduled callback.
+// event is a scheduled callback, held by value in the queue.
 type event struct {
 	time  float64
 	seq   uint64
@@ -33,24 +34,70 @@ type event struct {
 	label string
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+// before orders events on (time, seq): earlier first, FIFO on ties.
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventQueue is a binary min-heap of events by value, so scheduling
+// and firing allocate nothing once the backing slice has grown. Both
+// operations move a hole instead of swapping: push sifts the hole up
+// from the new leaf; pop walks the root's hole down to a leaf along
+// the smaller children, then sifts the former last event up into it
+// (Floyd's bottom-up variant: one comparison per level on the way
+// down, and the last event rarely climbs far).
+type eventQueue []event
+
+func (q *eventQueue) push(e event) {
+	h := append(*q, event{})
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+	*q = h
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the callback reference
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(&h[c]) {
+				c = r
+			}
+			h[i] = h[c]
+			i = c
+		}
+		for i > 0 {
+			parent := (i - 1) / 2
+			if !last.before(&h[parent]) {
+				break
+			}
+			h[i] = h[parent]
+			i = parent
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // Kernel owns the simulated clock and the pending event queue. The zero
@@ -62,14 +109,14 @@ type Kernel struct {
 
 	now    float64
 	seq    uint64
-	events eventHeap
+	events eventQueue
 }
 
 // Now returns the current simulated time in seconds.
 func (k *Kernel) Now() float64 { return k.now }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
-// panics: it would reorder causality silently.
+// At schedules fn to run at absolute time t. Scheduling in the past or
+// at NaN panics: either would reorder causality silently.
 func (k *Kernel) At(t float64, fn func()) { k.AtNamed(t, "", fn) }
 
 // AtNamed schedules fn at absolute time t with a label the Hook (and
@@ -78,8 +125,11 @@ func (k *Kernel) AtNamed(t float64, label string, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("des: scheduling at %g before now %g", t, k.now))
 	}
+	if math.IsNaN(t) {
+		panic(fmt.Sprintf("des: scheduling at NaN (now %g)", k.now))
+	}
 	k.seq++
-	heap.Push(&k.events, &event{time: t, seq: k.seq, fn: fn, label: label})
+	k.events.push(event{time: t, seq: k.seq, fn: fn, label: label})
 	if k.Hook != nil {
 		k.Hook.EventScheduled(k.seq, t, k.now, label)
 	}
@@ -88,10 +138,14 @@ func (k *Kernel) AtNamed(t float64, label string, fn func()) {
 // After schedules fn to run delay seconds from now.
 func (k *Kernel) After(delay float64, fn func()) { k.AfterNamed(delay, "", fn) }
 
-// AfterNamed schedules fn delay seconds from now with a label.
+// AfterNamed schedules fn delay seconds from now with a label. A
+// negative or NaN delay panics.
 func (k *Kernel) AfterNamed(delay float64, label string, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("des: negative delay %g", delay))
+	}
+	if math.IsNaN(delay) {
+		panic("des: NaN delay")
 	}
 	k.AtNamed(k.now+delay, label, fn)
 }
@@ -102,7 +156,7 @@ func (k *Kernel) Step() bool {
 	if len(k.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&k.events).(*event)
+	e := k.events.pop()
 	k.now = e.time
 	if k.Hook != nil {
 		k.Hook.EventFired(e.seq, k.now, e.label)

@@ -1,6 +1,10 @@
 package des
 
 import (
+	"cmp"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -183,5 +187,86 @@ func TestQuickMonotonicClock(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestNaNSchedulingPanics(t *testing.T) {
+	// The NaN is rejected before it reaches the queue: the other events
+	// still fire in time order and the clock ends finite.
+	var k Kernel
+	var order []float64
+	for _, at := range []float64{5, math.NaN(), 3, 1, 4, 2, 0.5} {
+		at := at
+		func() {
+			defer func() {
+				if r := recover(); r == nil && math.IsNaN(at) {
+					t.Error("At(NaN) did not panic")
+				}
+			}()
+			k.At(at, func() { order = append(order, at) })
+		}()
+	}
+	if end := k.Run(); end != 5 {
+		t.Fatalf("final time %g, want 5", end)
+	}
+	want := []float64{0.5, 1, 2, 3, 4, 5}
+	if !slices.Equal(order, want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("After(NaN) did not panic")
+		}
+	}()
+	k.After(math.NaN(), func() {})
+}
+
+// TestFireOrderIsSortedTimeSeq checks the heap against a sort on
+// (time, seq) over seeded event sets drawn from a handful of times, so
+// most events tie with many others.
+func TestFireOrderIsSortedTimeSeq(t *testing.T) {
+	type key struct {
+		time float64
+		seq  uint64
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		var k Kernel
+		h := &recordingHook{}
+		k.Hook = h
+		var want, got []key
+		for i, n := 0, 1+rng.Intn(300); i < n; i++ {
+			at := float64(rng.Intn(1 + trial%8))
+			k.At(at, func() {})
+			want = append(want, key{at, k.seq})
+		}
+		for k.Step() {
+			got = append(got, key{k.Now(), h.fired[len(h.fired)-1]})
+		}
+		slices.SortFunc(want, func(a, b key) int {
+			if c := cmp.Compare(a.time, b.time); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: fired %v, want %v", trial, got, want)
+		}
+	}
+}
+
+func TestWarmAtStepAllocatesNothing(t *testing.T) {
+	var k Kernel
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		k.At(float64(i%4), fn)
+	}
+	k.Run()
+	allocs := testing.AllocsPerRun(100, func() {
+		k.AtNamed(k.Now()+1, "tick", fn)
+		k.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed At+Step allocates %g times", allocs)
 	}
 }

@@ -22,9 +22,12 @@
 package electrical
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"wrht/internal/core"
 	"wrht/internal/topo"
@@ -69,6 +72,9 @@ func DefaultParams() Params {
 type Network struct {
 	Params Params
 	Tree   topo.FatTree
+
+	mu      sync.Mutex
+	solvers []*solver // idle scratch, at most one per concurrent solve
 }
 
 // NewNetwork builds the fat-tree for n hosts.
@@ -85,51 +91,80 @@ func NewNetwork(n int, p Params) (*Network, error) {
 	return &Network{Params: p, Tree: topo.NewFatTree(n, p.Radix)}, nil
 }
 
-// flow is one transfer in flight during a step.
+// wireBytes returns the bytes a payload of b puts on the wire: with
+// packetization on, b rounded up to whole packets, each carrying its
+// framing. Besides a transfer's route it is the only property of the
+// transfer the fluid model reads, so the solver, the memo key and the
+// profile-group cost all take it from here.
+func (p Params) wireBytes(b float64) float64 {
+	if p.PacketBytes > 0 && b > 0 {
+		packets := math.Ceil(b / float64(p.PacketBytes))
+		b = packets * float64(p.PacketBytes+p.HeaderBytes)
+	}
+	return b
+}
+
+// flow is one transfer in flight during a step, held by value with its
+// route inline.
 type flow struct {
-	bytes   float64 // remaining payload
-	links   []int
-	routers []int
+	bytes   float64 // remaining wire bytes
 	latency float64
 	rate    float64
+	path    topo.Path
 	done    bool
 }
 
-// stepSignature fingerprints a step for memoization: collectives like
-// Ring repeat the same (src, dst, bytes) pattern for thousands of steps,
-// so identical steps are solved once.
-func stepSignature(st core.Step, elems int) string {
-	type rec struct {
-		s, d int
-		b    int64
-	}
-	recs := make([]rec, len(st.Transfers))
-	for i, t := range st.Transfers {
-		recs[i] = rec{t.Src, t.Dst, t.Chunk.Bytes(elems)}
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].s != recs[j].s {
-			return recs[i].s < recs[j].s
-		}
-		if recs[i].d != recs[j].d {
-			return recs[i].d < recs[j].d
-		}
-		return recs[i].b < recs[j].b
-	})
-	sig := make([]byte, 0, len(recs)*12)
-	for _, r := range recs {
-		sig = appendInt(sig, int64(r.s))
-		sig = appendInt(sig, int64(r.d))
-		sig = appendInt(sig, r.b)
-	}
-	return string(sig)
+// solver is the scratch of one fluid-model solve or memo key: the
+// step's flows, and per-link and per-router capacity and count arrays
+// indexed by the tree's link and router ids. links and routers list the
+// ids the step's flows touch, each once; fairShare resets and scans
+// only those, and the counts of exactly those are zeroed when the step
+// ends, so a solve costs O(flows), not O(tree). Counts are zero between
+// solves, which is how a first touch is recognised. recs and key are
+// stepKey's records and their encoding.
+type solver struct {
+	flows              []flow
+	linkCap, routerCap []float64
+	linkCnt, routerCnt []int
+	links, routers     []int
+	recs               []keyRec
+	key                []byte
 }
 
-func appendInt(b []byte, v int64) []byte {
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(v>>(8*i)))
+// acquireSolver takes an idle solver sized for the tree, or makes one:
+// concurrent engine runs share the network, so each solve needs its own.
+func (nw *Network) acquireSolver() *solver {
+	var sv *solver
+	nw.mu.Lock()
+	if n := len(nw.solvers); n > 0 {
+		sv = nw.solvers[n-1]
+		nw.solvers = nw.solvers[:n-1]
 	}
-	return b
+	nw.mu.Unlock()
+	if sv == nil {
+		sv = &solver{}
+	}
+	if nl := nw.Tree.NumLinks(); len(sv.linkCnt) < nl {
+		sv.linkCap, sv.linkCnt = make([]float64, nl), make([]int, nl)
+	}
+	if nr := nw.Tree.NumRouters(); len(sv.routerCnt) < nr {
+		sv.routerCap, sv.routerCnt = make([]float64, nr), make([]int, nr)
+	}
+	return sv
+}
+
+// releaseSolver clears what the step touched and makes sv idle again.
+func (nw *Network) releaseSolver(sv *solver) {
+	for _, l := range sv.links {
+		sv.linkCnt[l] = 0
+	}
+	for _, r := range sv.routers {
+		sv.routerCnt[r] = 0
+	}
+	sv.flows, sv.links, sv.routers = sv.flows[:0], sv.links[:0], sv.routers[:0]
+	nw.mu.Lock()
+	nw.solvers = append(nw.solvers, sv)
+	nw.mu.Unlock()
 }
 
 // stepDuration solves the fluid model for one step: repeatedly compute
@@ -139,24 +174,35 @@ func appendInt(b []byte, v int64) []byte {
 // byte left the wire, so end−drain is the residual router-pipeline tail.
 func (nw *Network) stepDuration(st core.Step, elems int) (end, drain float64) {
 	p := nw.Params
-	flows := make([]*flow, 0, len(st.Transfers))
+	sv := nw.acquireSolver()
+	defer nw.releaseSolver(sv)
 	for _, t := range st.Transfers {
-		b := float64(t.Chunk.Bytes(elems))
-		if p.PacketBytes > 0 && b > 0 {
-			packets := math.Ceil(b / float64(p.PacketBytes))
-			b = packets * float64(p.PacketBytes+p.HeaderBytes)
-		}
-		path := nw.Tree.Route(t.Src, t.Dst)
-		flows = append(flows, &flow{
-			bytes:   b,
-			links:   path.Links,
-			routers: path.Routers,
-			latency: float64(len(path.Routers)) * p.RouterDelay,
+		sv.flows = append(sv.flows, flow{
+			bytes: p.wireBytes(float64(t.Chunk.Bytes(elems))),
+			path:  nw.Tree.Route(t.Src, t.Dst),
 		})
+		f := &sv.flows[len(sv.flows)-1]
+		f.latency = float64(len(f.path.Routers())) * p.RouterDelay
+		for _, l := range f.path.Links() {
+			if sv.linkCnt[l] == 0 {
+				sv.links = append(sv.links, l)
+			}
+			sv.linkCnt[l]++
+		}
+		if p.RouterAggBps > 0 {
+			for _, r := range f.path.Routers() {
+				if sv.routerCnt[r] == 0 {
+					sv.routers = append(sv.routers, r)
+				}
+				sv.routerCnt[r]++
+			}
+		}
 	}
+	flows := sv.flows
 	var now float64
 	active := 0
-	for _, f := range flows {
+	for i := range flows {
+		f := &flows[i]
 		if f.bytes > 0 {
 			active++
 		} else if f.latency > end {
@@ -164,10 +210,11 @@ func (nw *Network) stepDuration(st core.Step, elems int) (end, drain float64) {
 		}
 	}
 	for active > 0 {
-		nw.fairShare(flows)
+		sv.fairShare(p)
 		// Next completion.
 		dt := math.Inf(1)
-		for _, f := range flows {
+		for i := range flows {
+			f := &flows[i]
 			if f.done || f.rate <= 0 {
 				continue
 			}
@@ -180,7 +227,8 @@ func (nw *Network) stepDuration(st core.Step, elems int) (end, drain float64) {
 		}
 		now += dt
 		const eps = 1e-9
-		for _, f := range flows {
+		for i := range flows {
+			f := &flows[i]
 			if f.done {
 				continue
 			}
@@ -200,52 +248,45 @@ func (nw *Network) stepDuration(st core.Step, elems int) (end, drain float64) {
 
 // fairShare computes max–min fair rates (bytes/s) for the unfinished
 // flows by progressive filling over link and router constraints.
-func (nw *Network) fairShare(flows []*flow) {
-	p := nw.Params
-	type cons struct {
-		cap   float64 // remaining capacity, bytes/s
-		count int     // unfrozen flows crossing it
+func (sv *solver) fairShare(p Params) {
+	routerOn := p.RouterAggBps > 0
+	for _, l := range sv.links {
+		sv.linkCap[l], sv.linkCnt[l] = p.LinkBps/8, 0
 	}
-	linkCons := map[int]*cons{}
-	routerCons := map[int]*cons{}
-	for _, f := range flows {
+	if routerOn {
+		for _, r := range sv.routers {
+			sv.routerCap[r], sv.routerCnt[r] = p.RouterAggBps/8, 0
+		}
+	}
+	flows := sv.flows
+	for i := range flows {
+		f := &flows[i]
 		if f.done {
 			continue
 		}
 		f.rate = 0
-		for _, l := range f.links {
-			c := linkCons[l]
-			if c == nil {
-				c = &cons{cap: p.LinkBps / 8}
-				linkCons[l] = c
-			}
-			c.count++
+		for _, l := range f.path.Links() {
+			sv.linkCnt[l]++
 		}
-		if p.RouterAggBps > 0 {
-			for _, r := range f.routers {
-				c := routerCons[r]
-				if c == nil {
-					c = &cons{cap: p.RouterAggBps / 8}
-					routerCons[r] = c
-				}
-				c.count++
+		if routerOn {
+			for _, r := range f.path.Routers() {
+				sv.routerCnt[r]++
 			}
 		}
 	}
-	frozen := func(f *flow) bool { return f.done || f.rate > 0 }
 	for {
 		// Find the tightest constraint among those with unfrozen flows.
 		bottleneck := math.Inf(1)
-		for _, c := range linkCons {
-			if c.count > 0 {
-				if s := c.cap / float64(c.count); s < bottleneck {
+		for _, l := range sv.links {
+			if c := sv.linkCnt[l]; c > 0 {
+				if s := sv.linkCap[l] / float64(c); s < bottleneck {
 					bottleneck = s
 				}
 			}
 		}
-		for _, c := range routerCons {
-			if c.count > 0 {
-				if s := c.cap / float64(c.count); s < bottleneck {
+		for _, r := range sv.routers {
+			if c := sv.routerCnt[r]; c > 0 {
+				if s := sv.routerCap[r] / float64(c); s < bottleneck {
 					bottleneck = s
 				}
 			}
@@ -256,22 +297,21 @@ func (nw *Network) fairShare(flows []*flow) {
 		// Freeze every unfrozen flow crossing a binding constraint at the
 		// bottleneck share.
 		progressed := false
-		for _, f := range flows {
-			if frozen(f) {
+		for i := range flows {
+			f := &flows[i]
+			if f.frozen() {
 				continue
 			}
 			binding := false
-			for _, l := range f.links {
-				c := linkCons[l]
-				if c.count > 0 && c.cap/float64(c.count) <= bottleneck*(1+1e-12) {
+			for _, l := range f.path.Links() {
+				if c := sv.linkCnt[l]; c > 0 && sv.linkCap[l]/float64(c) <= bottleneck*(1+1e-12) {
 					binding = true
 					break
 				}
 			}
-			if !binding && p.RouterAggBps > 0 {
-				for _, r := range f.routers {
-					c := routerCons[r]
-					if c.count > 0 && c.cap/float64(c.count) <= bottleneck*(1+1e-12) {
+			if !binding && routerOn {
+				for _, r := range f.path.Routers() {
+					if c := sv.routerCnt[r]; c > 0 && sv.routerCap[r]/float64(c) <= bottleneck*(1+1e-12) {
 						binding = true
 						break
 					}
@@ -282,27 +322,81 @@ func (nw *Network) fairShare(flows []*flow) {
 			}
 			f.rate = bottleneck
 			progressed = true
-			for _, l := range f.links {
-				c := linkCons[l]
-				c.cap -= bottleneck
-				c.count--
+			for _, l := range f.path.Links() {
+				sv.linkCap[l] -= bottleneck
+				sv.linkCnt[l]--
 			}
-			if p.RouterAggBps > 0 {
-				for _, r := range f.routers {
-					c := routerCons[r]
-					c.cap -= bottleneck
-					c.count--
+			if routerOn {
+				for _, r := range f.path.Routers() {
+					sv.routerCap[r] -= bottleneck
+					sv.routerCnt[r]--
 				}
 			}
 		}
 		if !progressed {
 			// Numerical guard: freeze everything at the bottleneck.
-			for _, f := range flows {
-				if !frozen(f) {
+			for i := range flows {
+				if f := &flows[i]; !f.frozen() {
 					f.rate = bottleneck
 				}
 			}
 			return
 		}
 	}
+}
+
+func (f *flow) frozen() bool { return f.done || f.rate > 0 }
+
+// stepKey fingerprints a step for memoization by exactly what StepCost
+// reads: the (src, dst, wire bytes) records in sorted order, which
+// determine the fluid model's (end, drain) — flow order does not enter
+// the key, so permuted steps share one solve — and the largest raw
+// payload, which StepCost reports as MaxBytes. Chunks one element apart
+// that fill the same packets map to one key, so every step of a Ring
+// all-reduce is solved once. The encoding is injective: the raw maximum,
+// then per record the varint deltas of src against the previous record,
+// of dst against src, and of the wire bytes' float bits against the
+// previous record's.
+func (nw *Network) stepKey(st core.Step, elems int) string {
+	sv := nw.acquireSolver()
+	defer nw.releaseSolver(sv)
+	recs := sv.recs[:0]
+	var maxRaw int64
+	lastRaw, lastWire := int64(-1), uint64(0) // steps repeat chunk sizes
+	for _, t := range st.Transfers {
+		raw := t.Chunk.Bytes(elems)
+		maxRaw = max(maxRaw, raw)
+		if raw != lastRaw {
+			lastRaw, lastWire = raw, math.Float64bits(nw.Params.wireBytes(float64(raw)))
+		}
+		recs = append(recs, keyRec{s: t.Src, d: t.Dst, w: lastWire})
+	}
+	slices.SortFunc(recs, compareKeyRecs)
+	buf := binary.AppendUvarint(sv.key[:0], uint64(maxRaw))
+	var prev keyRec
+	for _, r := range recs {
+		buf = binary.AppendVarint(buf, int64(r.s-prev.s))
+		buf = binary.AppendVarint(buf, int64(r.d-r.s))
+		buf = binary.AppendVarint(buf, int64(r.w-prev.w))
+		prev = r
+	}
+	sv.recs, sv.key = recs, buf
+	return string(buf)
+}
+
+// keyRec is one transfer as the memo key sees it; w holds the float
+// bits of the (non-negative) wire bytes, which order like the values.
+type keyRec struct {
+	s, d int
+	w    uint64
+}
+
+func compareKeyRecs(a, b keyRec) int {
+	if c := cmp.Compare(a.s, b.s); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.d, b.d); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.w, b.w)
 }

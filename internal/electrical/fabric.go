@@ -2,7 +2,6 @@ package electrical
 
 import (
 	"fmt"
-	"math"
 
 	"wrht/internal/core"
 	"wrht/internal/fabric"
@@ -25,17 +24,34 @@ func (nw *Network) Fabric() fabric.Fabric { return treeFabric{nw: nw} }
 func (f treeFabric) Name() string { return "electrical" }
 
 // CheckSchedule rejects schedules that need more hosts than the tree
-// offers.
+// offers, and any transfer the fluid model cannot time: an endpoint
+// outside the schedule's ring, a self-transfer (a flow crossing no
+// link, which max–min sharing never gives a rate) or a malformed chunk.
 func (f treeFabric) CheckSchedule(s *core.Schedule) error {
-	if s.Ring.N > f.nw.Tree.Hosts {
-		return fmt.Errorf("electrical: schedule needs %d hosts, network has %d", s.Ring.N, f.nw.Tree.Hosts)
+	n := s.Ring.N
+	if n > f.nw.Tree.Hosts {
+		return fmt.Errorf("electrical: schedule needs %d hosts, network has %d", n, f.nw.Tree.Hosts)
+	}
+	for si := range s.Steps {
+		for ti := range s.Steps[si].Transfers {
+			t := &s.Steps[si].Transfers[ti]
+			if t.Src < 0 || t.Src >= n || t.Dst < 0 || t.Dst >= n {
+				return fmt.Errorf("electrical: step %d transfer %d: %d->%d outside the %d-node ring", si, ti, t.Src, t.Dst, n)
+			}
+			if t.Src == t.Dst {
+				return fmt.Errorf("electrical: step %d transfer %d: self transfer %d->%d", si, ti, t.Src, t.Dst)
+			}
+			if err := t.Chunk.Validate(); err != nil {
+				return fmt.Errorf("electrical: step %d transfer %d: %w", si, ti, err)
+			}
+		}
 	}
 	return nil
 }
 
-// CircuitBudget is zero: packet switching imposes no wavelength budget,
-// and budget zero makes the engine's schedule validation skip the
-// conflict check while keeping the structural checks.
+// CircuitBudget is zero: packet switching imposes no wavelength budget.
+// Budget zero disables only the wavelength range check of the engine's
+// schedule validation; the structural and conflict checks still run.
 func (f treeFabric) CircuitBudget(bool) (int, error) { return 0, nil }
 
 // StepCost solves the fluid model for the step. Total carries the exact
@@ -66,12 +82,7 @@ func (f treeFabric) StepCost(st core.Step, elems int) fabric.StepCost {
 // reference number.
 func (f treeFabric) GroupCost(bytes float64) fabric.StepCost {
 	p := f.nw.Params
-	b := bytes
-	if p.PacketBytes > 0 && b > 0 {
-		packets := math.Ceil(b / float64(p.PacketBytes))
-		b = packets * float64(p.PacketBytes+p.HeaderBytes)
-	}
-	ser := b * 8 / p.LinkBps
+	ser := p.wireBytes(bytes) * 8 / p.LinkBps
 	routers := 1
 	if f.nw.Tree.Edges > 1 {
 		routers = 3
@@ -86,7 +97,8 @@ func (f treeFabric) GroupCost(bytes float64) fabric.StepCost {
 }
 
 // StepKey enables memoization: collectives repeat the same transfer
-// pattern for thousands of steps, so identical steps are solved once.
+// pattern for thousands of steps, so steps with the same key are solved
+// once. The key determines every StepCost field (see Network.stepKey).
 func (f treeFabric) StepKey(st core.Step, elems int) (string, bool) {
-	return stepSignature(st, elems), true
+	return f.nw.stepKey(st, elems), true
 }

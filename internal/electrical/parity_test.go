@@ -40,10 +40,10 @@ func legacyRunSchedule(nw *Network, s *core.Schedule, dBytes float64) Result {
 	res := Result{Algorithm: s.Algorithm, Steps: s.NumSteps()}
 	memo := map[string]float64{}
 	for _, st := range s.Steps {
-		key := stepSignature(st, elems)
+		key := legacyStepSignature(st, elems)
 		dur, ok := memo[key]
 		if !ok {
-			dur, _ = nw.stepDuration(st, elems)
+			dur, _ = nw.legacyStepDuration(st, elems)
 			memo[key] = dur
 		}
 		res.Time += dur

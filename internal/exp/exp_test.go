@@ -224,7 +224,7 @@ func TestStragglersDeterministicAndOrdered(t *testing.T) {
 }
 
 func TestFig7ShapeMatchesPaper(t *testing.T) {
-	// Scaled-down sweep (the flow solver dominates at N=1024).
+	// Scaled-down sweep; TestFig7Golden pins the full-scale one.
 	r, err := fig7At(Defaults(), []int{64, 128})
 	if err != nil {
 		t.Fatal(err)

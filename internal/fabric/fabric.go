@@ -88,5 +88,7 @@ type Fabric interface {
 	// may be cached for the duration of one engine run, or ok=false to
 	// disable memoization. Backends with expensive per-step solvers
 	// (the max–min fluid model) use this to solve repeated steps once.
+	// Steps with equal keys reuse one StepCost whole, so a key must
+	// determine every StepCost field, MaxBytes included.
 	StepKey(st core.Step, elems int) (key string, ok bool)
 }

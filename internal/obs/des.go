@@ -1,12 +1,11 @@
 package obs
 
 // KernelObserver implements des.Hook, counting every event and marking
-// labeled ones on a Perfetto track. Unlabeled events (the electrical
-// fluid solver schedules thousands per run) only bump counters; labeled
-// events — the optical DES's "reconfig"/"transfer" completions, the
-// training timeline's phase boundaries — also emit an instant marker at
-// their simulated firing time, so kernel-driven simulators line up on
-// the same timeline as the fabric engine's spans.
+// labeled ones on a Perfetto track. Unlabeled events only bump
+// counters; labeled events — the optical DES's "reconfig"/"transfer"
+// completions, the training timeline's phase boundaries — also emit an
+// instant marker at their simulated firing time, so kernel-driven
+// simulators line up on the same timeline as the fabric engine's spans.
 //
 // Counter handles are resolved once at construction (nil-safe on a nil
 // registry), so the per-event cost is two atomic increments.

@@ -2,6 +2,7 @@ package optical
 
 import (
 	"fmt"
+	"math"
 
 	"wrht/internal/core"
 	"wrht/internal/des"
@@ -46,6 +47,7 @@ func RunScheduleDESObserved(p Params, s *core.Schedule, dBytes float64, delay Tr
 	res := Result{Algorithm: s.Algorithm, Steps: s.NumSteps()}
 
 	k := des.Kernel{Hook: hook}
+	var runErr error
 	var runStep func(si int)
 	runStep = func(si int) {
 		if si >= len(s.Steps) {
@@ -53,40 +55,49 @@ func RunScheduleDESObserved(p Params, s *core.Schedule, dBytes float64, delay Tr
 		}
 		st := s.Steps[si]
 		stepStart := k.Now()
+		finish := func() {
+			res.PerStep = append(res.PerStep, StepReport{Phase: st.Phase, Duration: k.Now() - stepStart})
+			runStep(si + 1)
+		}
+		// Every transfer event of the step shares one completion
+		// callback; the step finishes when the last circuit drains.
+		remaining := len(st.Transfers)
+		done := func() {
+			if remaining--; remaining == 0 {
+				finish()
+			}
+		}
 		// Reconfigure the MRRs, then launch every circuit in parallel.
 		k.AfterNamed(p.ReconfigDelay, "reconfig", func() {
 			if len(st.Transfers) == 0 {
-				finishStep(&k, &res, st, stepStart, si, runStep)
+				finish()
 				return
 			}
-			remaining := len(st.Transfers)
 			for ti, t := range st.Transfers {
 				dur := p.transferTime(float64(t.Chunk.Bytes(elems)))
 				if delay != nil {
 					dur = delay(si, ti, dur)
+					if math.IsNaN(dur) {
+						// Stop here: the step never finishes, so the
+						// kernel drains what is queued and halts.
+						runErr = fmt.Errorf("optical: step %d transfer %d: delay returned NaN", si, ti)
+						return
+					}
 					if dur < 0 {
 						dur = 0
 					}
 				}
-				k.AfterNamed(dur, "transfer", func() {
-					remaining--
-					if remaining == 0 {
-						finishStep(&k, &res, st, stepStart, si, runStep)
-					}
-				})
+				k.AfterNamed(dur, "transfer", done)
 			}
 		})
 	}
 	runStep(0)
 	end := k.Run()
+	if runErr != nil {
+		return Result{}, runErr
+	}
 	res.Time = end
 	return res, nil
-}
-
-func finishStep(k *des.Kernel, res *Result, st core.Step, stepStart float64, si int, next func(int)) {
-	dur := k.Now() - stepStart
-	res.PerStep = append(res.PerStep, StepReport{Phase: st.Phase, Duration: dur})
-	next(si + 1)
 }
 
 // CheckAgainstAnalytic runs both execution modes and returns an error if

@@ -73,11 +73,20 @@ func (f FatTree) CoreOf(s int) int { return s % f.Cores }
 
 // Path describes the route of a flow: the routers traversed and the
 // directed links crossed. Links are identified by opaque integer ids so
-// the flow-level simulator can map them to capacity state.
+// the flow-level simulator can map them to capacity state. A two-level
+// tree route crosses at most three routers and four links, so both
+// lists are held inline and routing a flow allocates nothing.
 type Path struct {
-	Routers []int // router ids traversed, for latency accounting
-	Links   []int // directed link ids traversed, for bandwidth sharing
+	routers [3]int
+	links   [4]int
+	nr, nl  int
 }
+
+// Routers returns the router ids traversed, for latency accounting.
+func (p *Path) Routers() []int { return p.routers[:p.nr] }
+
+// Links returns the directed link ids traversed, for bandwidth sharing.
+func (p *Path) Links() []int { return p.links[:p.nl] }
 
 // Link id layout (all directed):
 //
@@ -121,8 +130,9 @@ func (f FatTree) Route(src, dst int) Path {
 	se, de := f.EdgeOf(src), f.EdgeOf(dst)
 	if se == de {
 		return Path{
-			Routers: []int{f.edgeRouter(se)},
-			Links:   []int{0*s + src, 1*s + dst},
+			routers: [3]int{f.edgeRouter(se)},
+			links:   [4]int{0*s + src, 1*s + dst},
+			nr:      1, nl: 2,
 		}
 	}
 	slot := src % f.HostsPerEdge
@@ -138,13 +148,14 @@ func (f FatTree) Route(src, dst int) Path {
 		dslot = core
 	}
 	return Path{
-		Routers: []int{f.edgeRouter(se), f.coreRouter(core), f.edgeRouter(de)},
-		Links: []int{
+		routers: [3]int{f.edgeRouter(se), f.coreRouter(core), f.edgeRouter(de)},
+		links: [4]int{
 			0*s + src,
 			2*s + se*f.HostsPerEdge + slot,
 			3*s + de*f.HostsPerEdge + dslot,
 			1*s + dst,
 		},
+		nr: 3, nl: 4,
 	}
 }
 

@@ -27,36 +27,37 @@ func TestFatTreeShape(t *testing.T) {
 func TestRouteIntraEdge(t *testing.T) {
 	f := NewFatTree(1024, 32)
 	p := f.Route(3, 7) // both on edge 0
-	if len(p.Routers) != 1 || p.Routers[0] != 0 {
-		t.Fatalf("intra-edge route routers = %v", p.Routers)
+	if r := p.Routers(); len(r) != 1 || r[0] != 0 {
+		t.Fatalf("intra-edge route routers = %v", r)
 	}
-	if len(p.Links) != 2 {
-		t.Fatalf("intra-edge route links = %v", p.Links)
+	if len(p.Links()) != 2 {
+		t.Fatalf("intra-edge route links = %v", p.Links())
 	}
 }
 
 func TestRouteInterEdge(t *testing.T) {
 	f := NewFatTree(1024, 32)
 	p := f.Route(3, 900)
-	if len(p.Routers) != 3 {
-		t.Fatalf("inter-edge route routers = %v", p.Routers)
+	r := p.Routers()
+	if len(r) != 3 {
+		t.Fatalf("inter-edge route routers = %v", r)
 	}
-	if p.Routers[0] != f.EdgeOf(3) || p.Routers[2] != f.EdgeOf(900) {
-		t.Fatalf("route endpoints wrong: %v", p.Routers)
+	if r[0] != f.EdgeOf(3) || r[2] != f.EdgeOf(900) {
+		t.Fatalf("route endpoints wrong: %v", r)
 	}
-	core := p.Routers[1]
+	core := r[1]
 	if core < f.Edges || core >= f.Edges+f.Cores {
 		t.Fatalf("middle router %d is not a core", core)
 	}
-	if len(p.Links) != 4 {
-		t.Fatalf("inter-edge route links = %v", p.Links)
+	if len(p.Links()) != 4 {
+		t.Fatalf("inter-edge route links = %v", p.Links())
 	}
 }
 
 func TestRouteSelf(t *testing.T) {
 	f := NewFatTree(64, 32)
 	p := f.Route(5, 5)
-	if len(p.Routers) != 0 || len(p.Links) != 0 {
+	if len(p.Routers()) != 0 || len(p.Links()) != 0 {
 		t.Fatalf("self route should be empty, got %+v", p)
 	}
 }
@@ -66,7 +67,8 @@ func TestRouteLinkIDsWithinBounds(t *testing.T) {
 	limit := f.NumLinks()
 	q := func(sRaw, dRaw uint16) bool {
 		s, d := int(sRaw)%256, int(dRaw)%256
-		for _, l := range f.Route(s, d).Links {
+		p := f.Route(s, d)
+		for _, l := range p.Links() {
 			if l < 0 || l >= limit {
 				return false
 			}
@@ -85,7 +87,7 @@ func TestRouteSpreadsUplinks(t *testing.T) {
 	seen := map[int]bool{}
 	for h := 0; h < 16; h++ {
 		p := f.Route(h, 512+h)
-		up := p.Links[1]
+		up := p.Links()[1]
 		if seen[up] {
 			t.Fatalf("uplink %d reused by host %d", up, h)
 		}

@@ -9,6 +9,7 @@ import (
 	"wrht/internal/collective"
 	"wrht/internal/core"
 	"wrht/internal/fabric"
+	"wrht/internal/tensor"
 	"wrht/internal/topo"
 )
 
@@ -323,5 +324,26 @@ func TestSimulateArgumentErrors(t *testing.T) {
 	}
 	if _, err := wrht.Simulate(wrht.Optical, 42, 1e6); err == nil {
 		t.Error("non-collective argument should error")
+	}
+}
+
+// TestSimulateRejectsMalformedSchedules: a one-transfer schedule on 8
+// nodes that no fabric can time must be an error on both backends,
+// never a panic.
+func TestSimulateRejectsMalformedSchedules(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tr   core.Transfer
+	}{
+		{"self transfer", core.Transfer{Src: 3, Dst: 3, Chunk: tensor.Whole}},
+		{"endpoint out of range", core.Transfer{Src: 3, Dst: 9, Chunk: tensor.Whole}},
+		{"zero chunk divisor", core.Transfer{Src: 3, Dst: 4, Chunk: tensor.Chunk{Of: 0}}},
+	} {
+		s := &wrht.Schedule{Algorithm: "bad", Ring: topo.NewRing(8), Steps: []core.Step{{Transfers: []core.Transfer{c.tr}}}}
+		for _, b := range []wrht.Backend{wrht.Optical, wrht.ElectricalFatTree} {
+			if _, err := wrht.Simulate(b, s, 1e6); err == nil {
+				t.Errorf("%s on %s: no error", c.name, b)
+			}
+		}
 	}
 }
