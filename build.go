@@ -151,9 +151,7 @@ var buildAccepts = map[Kind][]string{
 }
 
 // Build is the single schedule-construction entrypoint: it builds the
-// kind's collective for n nodes under the given options. The positional
-// quick-start constructors (NewSchedule, NewTorusSchedule,
-// HRingSchedule, NewSegmentSchedule, …) are thin wrappers over it.
+// kind's collective for n nodes under the given options.
 //
 //	s, err := wrht.Build(wrht.KindWRHT, 1024, wrht.WithWavelengths(64))
 //	s, err := wrht.Build(wrht.KindTorus, 1024, wrht.WithDims(32, 32), wrht.WithWavelengths(8))

@@ -1,10 +1,9 @@
 // Package cliflags is the one place the repo's CLIs (wrhtsim,
 // trainsim) define their shared observability and output flags:
-// -workers, -json, -trace, -metrics, -metrics-format, -prom and
-// -promaddr. Each command registers the subset it supports, then uses
-// the same validation, registry/tracer construction and exit-time
-// sink writes — so flag names, help text and behavior cannot drift
-// between binaries.
+// -workers, -json, -trace, -prom and -promaddr. Each command registers
+// the subset it supports, then uses the same registry/tracer
+// construction and exit-time sink writes — so flag names, help text
+// and behavior cannot drift between binaries.
 package cliflags
 
 import (
@@ -24,8 +23,6 @@ const (
 	JSON
 	// Trace is -trace, the Perfetto timeline path.
 	Trace
-	// Metrics is -metrics plus -metrics-format.
-	Metrics
 	// Prom is -prom, the Prometheus exposition file.
 	Prom
 	// PromServe is -promaddr, the live /metrics + pprof server.
@@ -35,19 +32,17 @@ const (
 // Flags holds the parsed values. Fields for unregistered flags stay
 // zero.
 type Flags struct {
-	Workers       int
-	JSONOut       string
-	TracePath     string
-	MetricsPath   string
-	MetricsFormat string
-	PromPath      string
-	PromAddr      string
+	Workers   int
+	JSONOut   string
+	TracePath string
+	PromPath  string
+	PromAddr  string
 }
 
 // Register adds the selected flags to fs and returns the destination
 // struct, populated once fs is parsed.
 func Register(fs *flag.FlagSet, have Set) *Flags {
-	f := &Flags{MetricsFormat: "prom"}
+	f := &Flags{}
 	if have&Workers != 0 {
 		fs.IntVar(&f.Workers, "workers", 0, "sweep worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	}
@@ -56,10 +51,6 @@ func Register(fs *flag.FlagSet, have Set) *Flags {
 	}
 	if have&Trace != 0 {
 		fs.StringVar(&f.TracePath, "trace", "", "write a Perfetto trace (Chrome Trace Event JSON) to this file")
-	}
-	if have&Metrics != 0 {
-		fs.StringVar(&f.MetricsPath, "metrics", "", "write the metric registry to this file on exit (- for stdout; format per -metrics-format)")
-		fs.StringVar(&f.MetricsFormat, "metrics-format", "prom", "-metrics serialization: prom (Prometheus text exposition) or legacy (sorted name/value lines, .json for a JSON snapshot)")
 	}
 	if have&Prom != 0 {
 		fs.StringVar(&f.PromPath, "prom", "", "write the Prometheus text exposition to this file on exit (- for stdout)")
@@ -70,15 +61,6 @@ func Register(fs *flag.FlagSet, have Set) *Flags {
 	return f
 }
 
-// Validate rejects value combinations the flags cannot express.
-func (f *Flags) Validate() error {
-	switch f.MetricsFormat {
-	case "", "prom", "legacy":
-		return nil
-	}
-	return fmt.Errorf("unknown metrics format %q (want prom or legacy)", f.MetricsFormat)
-}
-
 // NewTracer returns a tracer when -trace was given, nil otherwise.
 func (f *Flags) NewTracer() *obs.Tracer {
 	if f.TracePath == "" {
@@ -87,10 +69,10 @@ func (f *Flags) NewTracer() *obs.Tracer {
 	return obs.NewTracer()
 }
 
-// NewRegistry returns a metric registry when any metrics sink
-// (-metrics, -prom, -promaddr) was requested, nil otherwise.
+// NewRegistry returns a metric registry when any metrics sink (-prom,
+// -promaddr) was requested, nil otherwise.
 func (f *Flags) NewRegistry() *obs.Registry {
-	if f.MetricsPath == "" && f.PromPath == "" && f.PromAddr == "" {
+	if f.PromPath == "" && f.PromAddr == "" {
 		return nil
 	}
 	return obs.NewRegistry()
@@ -109,33 +91,17 @@ func (f *Flags) WriteTrace(tr *obs.Tracer) error {
 	return nil
 }
 
-// WriteMetrics writes the exit-time metric sinks: -metrics in the
-// selected format, then the -prom exposition. No-op on a nil registry.
+// WriteMetrics writes the -prom exposition on exit. No-op on a nil
+// registry or without -prom.
 func (f *Flags) WriteMetrics(reg *obs.Registry) error {
-	if reg == nil {
+	if reg == nil || f.PromPath == "" {
 		return nil
 	}
-	if f.MetricsPath != "" {
-		var err error
-		if f.MetricsFormat == "legacy" {
-			err = reg.WriteFile(f.MetricsPath)
-		} else {
-			err = reg.ExposeFile(f.MetricsPath)
-		}
-		if err != nil {
-			return fmt.Errorf("writing %s: %w", f.MetricsPath, err)
-		}
-		if f.MetricsPath != "-" {
-			fmt.Printf("metrics written to %s\n", f.MetricsPath)
-		}
+	if err := reg.ExposeFile(f.PromPath); err != nil {
+		return fmt.Errorf("writing %s: %w", f.PromPath, err)
 	}
-	if f.PromPath != "" {
-		if err := reg.ExposeFile(f.PromPath); err != nil {
-			return fmt.Errorf("writing %s: %w", f.PromPath, err)
-		}
-		if f.PromPath != "-" {
-			fmt.Printf("prometheus exposition written to %s\n", f.PromPath)
-		}
+	if f.PromPath != "-" {
+		fmt.Printf("prometheus exposition written to %s\n", f.PromPath)
 	}
 	return nil
 }

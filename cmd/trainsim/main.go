@@ -1,7 +1,7 @@
 // Command trainsim simulates the end-to-end distributed DNN training the
 // paper targets: it combines the FLOPs-based compute model (substituting
 // the TensorFlow-profiler traces of §5.1), the optical all-reduce timing
-// of Eq 6, and the DES timeline of synchronous data-parallel SGD to
+// of Eq 6, and the barrier timeline of synchronous data-parallel SGD to
 // report per-epoch time and the fraction spent in all-reduce — the
 // paper's motivating statistic that communication takes 50–90% of an
 // iteration at scale [35].
@@ -12,12 +12,10 @@
 //
 // -trace writes a Perfetto timeline of the simulated epoch (one trace
 // process per workload, a few sample workers plus the all-reduce
-// track); -metrics dumps per-workload epoch gauges on exit, by default
-// in the Prometheus text exposition format (-metrics-format=legacy for
-// the old name/value dump); -prom writes the Prometheus exposition to
-// a file regardless of -metrics. The observability flags are shared
-// with wrhtsim via cmd/internal/cliflags, so names and semantics match
-// across the CLIs.
+// track); -prom writes per-workload epoch gauges on exit in the
+// Prometheus text exposition format ("-" for stdout). The
+// observability flags are shared with wrhtsim via cmd/internal/cliflags,
+// so names and semantics match across the CLIs.
 package main
 
 import (
@@ -44,11 +42,8 @@ func main() {
 		dataset = flag.Int("dataset", 1281167, "dataset size (ImageNet-1k train split)")
 		algo    = flag.String("algo", "wrht", "all-reduce algorithm: wrht, ring, bt, hring, dbtree, wdmhring")
 	)
-	shared := cliflags.Register(flag.CommandLine, cliflags.Trace|cliflags.Metrics|cliflags.Prom)
+	shared := cliflags.Register(flag.CommandLine, cliflags.Trace|cliflags.Prom)
 	flag.Parse()
-	if err := shared.Validate(); err != nil {
-		log.Fatal(err)
-	}
 
 	tr := shared.NewTracer()
 	reg := shared.NewRegistry()

@@ -20,8 +20,8 @@
 // -json writes the structured result in the versioned internal/api
 // schema — byte-identical to the body the wrhtd daemon serves for the
 // equivalent /v1/sweep, /v1/plan or /v1/build request (the parity test
-// in this package pins that); for the figure subcommands it writes the
-// raw figure series.
+// in this package pins that); for fig4–fig7 and all it writes the raw
+// figure series as an api.FiguresResponse, byte-identical across runs.
 //
 // The overlap subcommand compares the engine's opportunistic overlap
 // mode against schedules rewritten by the internal/ir pass pipeline
@@ -62,12 +62,9 @@
 // across runs; for the figure sweeps a wall-clock diagnostic of the
 // worker pool.
 //
-// -metrics dumps the metric registry on exit ("-" for stdout), by
-// default in the Prometheus text exposition format;
-// -metrics-format=legacy restores the old sorted name/value dump (a
-// .json suffix for a JSON snapshot). -prom writes the Prometheus
-// exposition to a file regardless of -metrics, and -promaddr serves
-// /metrics (append ?reset=1 for snapshot-and-reset delta scrapes) plus
+// -prom writes the metric registry in the Prometheus text exposition
+// format on exit ("-" for stdout), and -promaddr serves /metrics
+// (append ?reset=1 for snapshot-and-reset delta scrapes) plus
 // net/http/pprof for the run's duration:
 //
 //	wrhtsim -promaddr :9090 fig5 &
@@ -100,7 +97,6 @@ import (
 	"wrht/internal/obs"
 	"wrht/internal/optical"
 	"wrht/internal/parallel"
-	"wrht/internal/trace"
 	"wrht/internal/workload"
 )
 
@@ -159,7 +155,7 @@ func floatList(s string) ([]float64, error) {
 func main() {
 	gran := flag.String("granularity", "fused", "all-reduce invocation granularity: fused or bucketed")
 	shared := cliflags.Register(flag.CommandLine,
-		cliflags.Workers|cliflags.JSON|cliflags.Trace|cliflags.Metrics|cliflags.Prom|cliflags.PromServe)
+		cliflags.Workers|cliflags.JSON|cliflags.Trace|cliflags.Prom|cliflags.PromServe)
 	schedN := flag.Int("n", 64, "schedule/crossfabric/faults subcommands: ring size")
 	schedW := flag.Int("w", 8, "schedule/crossfabric/faults subcommands: wavelengths")
 	schedM := flag.Int("m", 0, "schedule subcommand: grouped nodes (0 = optimal)")
@@ -209,26 +205,24 @@ func main() {
 		defer f.Close()
 	}
 	code := run(runConfig{
-		cmd:           cmdArg,
-		nSet:          nSet,
-		granularity:   *gran,
-		workers:       shared.Workers,
-		jsonOut:       shared.JSONOut,
-		n:             *schedN,
-		w:             *schedW,
-		m:             *schedM,
-		payloadMB:     *payloadMB,
-		stream:        *stream,
-		memstats:      *memstats,
-		passes:        *passSpec,
-		check:         *check,
-		planR:         *planR,
-		planA:         *planA,
-		tracePath:     shared.TracePath,
-		metricsPath:   shared.MetricsPath,
-		metricsFormat: shared.MetricsFormat,
-		promPath:      shared.PromPath,
-		promAddr:      shared.PromAddr,
+		cmd:         cmdArg,
+		nSet:        nSet,
+		granularity: *gran,
+		workers:     shared.Workers,
+		jsonOut:     shared.JSONOut,
+		n:           *schedN,
+		w:           *schedW,
+		m:           *schedM,
+		payloadMB:   *payloadMB,
+		stream:      *stream,
+		memstats:    *memstats,
+		passes:      *passSpec,
+		check:       *check,
+		planR:       *planR,
+		planA:       *planA,
+		tracePath:   shared.TracePath,
+		promPath:    shared.PromPath,
+		promAddr:    shared.PromAddr,
 	})
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
@@ -273,11 +267,6 @@ type runConfig struct {
 	// representative counts and reconfiguration delays (µs).
 	planR, planA string
 	tracePath    string
-	metricsPath  string
-	// metricsFormat selects the -metrics serialization: "prom" (default,
-	// Prometheus text exposition) or "legacy" (the pre-exposition dump:
-	// sorted name/value lines, or a JSON snapshot for .json paths).
-	metricsFormat string
 	// promPath writes the Prometheus exposition to a file on exit;
 	// promAddr serves /metrics and /debug/pprof over HTTP for the run's
 	// duration.
@@ -307,19 +296,7 @@ func run(cfg runConfig) int {
 			o.Trace.Clock = func() float64 { return time.Since(start).Seconds() }
 		}
 	}
-	sink := cliflags.Flags{
-		Workers:       cfg.workers,
-		JSONOut:       cfg.jsonOut,
-		TracePath:     cfg.tracePath,
-		MetricsPath:   cfg.metricsPath,
-		MetricsFormat: cfg.metricsFormat,
-		PromPath:      cfg.promPath,
-		PromAddr:      cfg.promAddr,
-	}
-	if err := sink.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "wrhtsim: %v\n", err)
-		return 2
-	}
+	sink := cliflags.Flags{TracePath: cfg.tracePath, PromPath: cfg.promPath, PromAddr: cfg.promAddr}
 	o.Metrics = sink.NewRegistry()
 	if cfg.promAddr != "" {
 		// Serve /metrics (Prometheus text; ?reset=1 for snapshot-and-reset
@@ -337,7 +314,7 @@ func run(cfg runConfig) int {
 
 	cmd := cfg.cmd
 	ran := false
-	var rec trace.Recorder
+	figs := api.FiguresResponse{Version: api.Version}
 	if cmd == "schedule" {
 		// Dump the WRHT schedule for -n/-w/-m as JSON (loadable by a
 		// control plane or core.ReadSchedule).
@@ -409,7 +386,7 @@ func run(cfg runConfig) int {
 			return fatal(err)
 		}
 		fmt.Println(fig)
-		rec.Record(exp.FigureRun("fig4", fig))
+		figs.Figures = append(figs.Figures, api.FigureFrom("fig4", fig))
 		ran = true
 	}
 	if cmd == "fig5" || cmd == "all" {
@@ -419,7 +396,7 @@ func run(cfg runConfig) int {
 		}
 		for i, f := range r.Figures {
 			fmt.Println(f)
-			rec.Record(exp.FigureRun(fmt.Sprintf("fig5-%d", i), f))
+			figs.Figures = append(figs.Figures, api.FigureFrom(fmt.Sprintf("fig5-%d", i), f))
 		}
 		fmt.Printf("Fig 5 mean reductions (%s): WRHT vs Ring %s (paper 13.74%%), vs H-Ring %s (paper 9.29%%), vs BT %s (paper 75%%)\n\n",
 			o.Granularity, metrics.Pct(r.VsRing), metrics.Pct(r.VsHRing), metrics.Pct(r.VsBT))
@@ -432,7 +409,7 @@ func run(cfg runConfig) int {
 		}
 		for i, f := range r.Figures {
 			fmt.Println(f)
-			rec.Record(exp.FigureRun(fmt.Sprintf("fig6-%d", i), f))
+			figs.Figures = append(figs.Figures, api.FigureFrom(fmt.Sprintf("fig6-%d", i), f))
 		}
 		fmt.Printf("Fig 6 mean reductions (%s): WRHT vs Ring %s (paper 65.23%%), vs H-Ring %s (paper 43.81%%), vs BT %s (paper 82.22%%)\n\n",
 			o.Granularity, metrics.Pct(r.VsRing), metrics.Pct(r.VsHRing), metrics.Pct(r.VsBT))
@@ -445,7 +422,7 @@ func run(cfg runConfig) int {
 		}
 		for i, f := range r.Figures {
 			fmt.Println(f)
-			rec.Record(exp.FigureRun(fmt.Sprintf("fig7-%d", i), f))
+			figs.Figures = append(figs.Figures, api.FigureFrom(fmt.Sprintf("fig7-%d", i), f))
 		}
 		fmt.Printf("Fig 7 mean reductions (%s): O-Ring vs E-Ring %s (paper 48.74%%), WRHT vs E-Ring %s (paper 61.23%%), WRHT vs E-RD %s (paper 55.51%%)\n\n",
 			o.Granularity, metrics.Pct(r.ORingVsERing), metrics.Pct(r.WRHTVsERing), metrics.Pct(r.WRHTVsERD))
@@ -467,7 +444,7 @@ func run(cfg runConfig) int {
 		for _, m := range []dnn.Model{dnn.ResNet50(), dnn.BEiTLarge()} {
 			t, err := exp.Extras(o, m, 1024, 64)
 			if err != nil {
-				fatal(err)
+				return fatal(err)
 			}
 			fmt.Println(t)
 		}
@@ -520,7 +497,7 @@ func run(cfg runConfig) int {
 				return fatal(err)
 			}
 			fmt.Printf("crossfabric result written to %s\n", cfg.jsonOut)
-			cfg.jsonOut = "" // consumed; skip the figure recorder below
+			cfg.jsonOut = "" // consumed; skip the figures document below
 		}
 		ran = true
 	}
@@ -605,12 +582,12 @@ func run(cfg runConfig) int {
 		if cfg.check {
 			fmt.Printf("plan check passed: predicted argmin == simulated argmin at all %d points, rescue speedups above 1\n\n", len(resp.Points))
 		}
-		if cfg.jsonOut != "" {
+		if cmd == "plan" && cfg.jsonOut != "" {
 			if err := writeJSON(cfg.jsonOut, resp); err != nil {
 				return fatal(err)
 			}
 			fmt.Printf("raw plan points written to %s\n", cfg.jsonOut)
-			cfg.jsonOut = "" // consumed; skip the figure recorder below
+			cfg.jsonOut = ""
 		}
 		ran = true
 	}
@@ -632,10 +609,9 @@ func run(cfg runConfig) int {
 		flag.Usage()
 		return 2
 	}
-	if cfg.jsonOut != "" && len(rec.Runs) > 0 {
-		if err := rec.WriteFile(cfg.jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "wrhtsim: writing %s: %v\n", cfg.jsonOut, err)
-			return 1
+	if cfg.jsonOut != "" && len(figs.Figures) > 0 {
+		if err := writeJSON(cfg.jsonOut, figs); err != nil {
+			return fatal(fmt.Errorf("writing %s: %w", cfg.jsonOut, err))
 		}
 		fmt.Printf("raw series written to %s\n", cfg.jsonOut)
 	}
@@ -658,7 +634,7 @@ func run(cfg runConfig) int {
 // or nil when no latency was recorded.
 func latencySummary(reg *obs.Registry) *metrics.Table {
 	t := &metrics.Table{
-		Title:   "Wall-clock latency summary (from -metrics/-prom histograms)",
+		Title:   "Wall-clock latency summary (from -prom/-promaddr histograms)",
 		Headers: []string{"Series", "count", "p50 (µs)", "p99 (µs)", "max (µs)"},
 	}
 	rows := 0

@@ -5,34 +5,32 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// traceRun drives run() the way CI does, capturing the trace and
-// metrics files for one crossfabric invocation.
-func traceRun(t *testing.T, dir, tag string) (trace, metrics []byte) {
+// traceRun drives run() the way CI does, capturing the trace and the
+// -prom exposition for one crossfabric invocation.
+func traceRun(t *testing.T, dir, tag string) (trace, prom []byte) {
 	t.Helper()
 	tracePath := filepath.Join(dir, "trace-"+tag+".json")
-	metricsPath := filepath.Join(dir, "metrics-"+tag+".json")
+	promPath := filepath.Join(dir, "metrics-"+tag+".prom")
 	old := os.Stdout
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	os.Stdout = null
-	// metricsFormat "legacy" is deliberate: this test parses the JSON
-	// snapshot, which only the legacy escape hatch still emits — it IS
-	// the coverage for -metrics-format=legacy.
 	code := run(runConfig{
-		cmd:           "crossfabric",
-		granularity:   "fused",
-		workers:       1,
-		n:             64,
-		w:             64,
-		payloadMB:     10,
-		tracePath:     tracePath,
-		metricsPath:   metricsPath,
-		metricsFormat: "legacy",
+		cmd:         "crossfabric",
+		granularity: "fused",
+		workers:     1,
+		n:           64,
+		w:           64,
+		payloadMB:   10,
+		tracePath:   tracePath,
+		promPath:    promPath,
 	})
 	os.Stdout = old
 	null.Close()
@@ -43,11 +41,27 @@ func traceRun(t *testing.T, dir, tag string) (trace, metrics []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics, err = os.ReadFile(metricsPath)
+	prom, err = os.ReadFile(promPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return trace, metrics
+	return trace, prom
+}
+
+// promValue returns the value of the unlabeled sample name in a
+// Prometheus text exposition, or -1 when the sample is absent.
+func promValue(t *testing.T, prom []byte, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(string(prom), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	return -1
 }
 
 // TestCrossFabricTraceValidates is the CI gate for `wrhtsim -trace`: the
@@ -56,7 +70,7 @@ func traceRun(t *testing.T, dir, tag string) (trace, metrics []byte) {
 // across runs (the trace is a pure function of the simulated timeline).
 func TestCrossFabricTraceValidates(t *testing.T) {
 	dir := t.TempDir()
-	raw, rawMetrics := traceRun(t, dir, "a")
+	raw, prom := traceRun(t, dir, "a")
 
 	var doc struct {
 		DisplayTimeUnit string `json:"displayTimeUnit"`
@@ -87,17 +101,12 @@ func TestCrossFabricTraceValidates(t *testing.T) {
 		}
 	}
 
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.Unmarshal(rawMetrics, &snap); err != nil {
-		t.Fatalf("metrics are not valid JSON: %v", err)
-	}
-	if snap.Counters["fabric.steps"] == 0 || snap.Counters["fabric.circuits.reserved"] == 0 {
-		t.Errorf("fabric counters empty: %v", snap.Counters)
-	}
-	if snap.Counters["fabric.overlap.boundaries_hidden"] == 0 {
-		t.Errorf("no overlap-hidden boundaries at w=64: %v", snap.Counters)
+	// fabric_overlap_boundaries_hidden is non-zero only because w=64
+	// leaves WRHT's boundaries circuit-disjoint.
+	for _, name := range []string{"fabric_steps", "fabric_circuits_reserved", "fabric_overlap_boundaries_hidden"} {
+		if v := promValue(t, prom, name); v <= 0 {
+			t.Errorf("%s = %g in the -prom exposition, want > 0", name, v)
+		}
 	}
 
 	again, _ := traceRun(t, dir, "b")

@@ -74,6 +74,10 @@ func main() {
 	table.AddRow("optical 32x32 torus", "WRHT rows+col", fmt.Sprint(ts.NumSteps()), fmt.Sprintf("%.2f", tres.Time*1e3))
 
 	// Electrical fat-tree: same Simulate call, different backend.
+	ring, err := wrht.Build(wrht.KindRing, n)
+	if err != nil {
+		log.Fatal(err)
+	}
 	rd, err := wrht.Build(wrht.KindRD, n)
 	if err != nil {
 		log.Fatal(err)
@@ -81,7 +85,7 @@ func main() {
 	for _, c := range []struct {
 		name  string
 		sched *wrht.Schedule
-	}{{"Ring", wrht.RingSchedule(n)}, {"RD", rd}} {
+	}{{"Ring", ring}, {"RD", rd}} {
 		res, err := wrht.Simulate(wrht.ElectricalFatTree, c.sched, d)
 		if err != nil {
 			log.Fatal(err)

@@ -5,18 +5,20 @@
 // per-DNN slice of the paper's Figure 5. Ring and BT stay flat (they use
 // a single wavelength), H-Ring gains a little, WRHT's step count shrinks
 // with m = 2w+1 until the wavelengths stop helping. The raw series are
-// also written to wavelength_sweep.json.
+// also written to wavelength_sweep.json in the internal/api figures
+// schema, the document `wrhtsim -json` writes for the paper figures.
 //
-// Uses only the public wrht API plus the trace exporter.
+// Uses only the public wrht API plus the api schema's encoder.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"wrht"
+	"wrht/internal/api"
 	"wrht/internal/metrics"
-	"wrht/internal/trace"
 )
 
 func main() {
@@ -30,8 +32,11 @@ func main() {
 		Title:   fmt.Sprintf("Communication time (ms) for %s (%.0f MB) on a %d-node optical ring", model.Name, d/1e6, n),
 		Headers: []string{"wavelengths", "Ring", "H-Ring", "BT", "WRHT", "WRHT steps"},
 	}
-	series := map[string][]float64{"Ring": nil, "H-Ring": nil, "BT": nil, "WRHT": nil}
-	var xticks []string
+	fig := api.Figure{
+		Name:  "wavelength_sweep",
+		Title: fmt.Sprintf("%s on a %d-node optical ring: communication time (s) vs wavelengths", model.Name, n),
+	}
+	var ringY, hringY, btY, wrhtY []float64
 
 	for _, w := range waves {
 		p := wrht.DefaultOpticalParams()
@@ -55,20 +60,23 @@ func main() {
 			fmt.Sprintf("%.2f", tr*1e3), fmt.Sprintf("%.2f", th*1e3),
 			fmt.Sprintf("%.2f", tb*1e3), fmt.Sprintf("%.2f", tw*1e3),
 			fmt.Sprint(wrhtProf.NumSteps()))
-		series["Ring"] = append(series["Ring"], tr)
-		series["H-Ring"] = append(series["H-Ring"], th)
-		series["BT"] = append(series["BT"], tb)
-		series["WRHT"] = append(series["WRHT"], tw)
-		xticks = append(xticks, fmt.Sprint(w))
+		ringY = append(ringY, tr)
+		hringY = append(hringY, th)
+		btY = append(btY, tb)
+		wrhtY = append(wrhtY, tw)
+		fig.XTicks = append(fig.XTicks, fmt.Sprint(w))
 	}
 	fmt.Println(table)
 
-	var rec trace.Recorder
-	rec.Record(trace.NewRun("wavelength_sweep", xticks, series, map[string]float64{
-		"nodes":      n,
-		"grad_bytes": d,
-	}))
-	if err := rec.WriteFile("wavelength_sweep.json"); err != nil {
+	fig.Series = []api.Series{{Name: "Ring", Y: ringY}, {Name: "H-Ring", Y: hringY}, {Name: "BT", Y: btY}, {Name: "WRHT", Y: wrhtY}}
+	f, err := os.Create("wavelength_sweep.json")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := api.Encode(f, api.FiguresResponse{Version: api.Version, Figures: []api.Figure{fig}}); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("raw series written to wavelength_sweep.json")

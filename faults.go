@@ -32,7 +32,3 @@ const (
 
 // NewFaultMask returns an empty (healthy) mask for an n-node ring.
 func NewFaultMask(n int) *FaultMask { return fault.NewMask(n) }
-
-// SampleFaults draws a deterministic random mask for an n-node ring
-// from the spec (equivalent to sp.Sample(n)).
-func SampleFaults(sp FaultSpec, n int) *FaultMask { return sp.Sample(n) }

@@ -5,6 +5,7 @@ import (
 
 	"wrht/internal/exp"
 	"wrht/internal/fabric"
+	"wrht/internal/metrics"
 )
 
 // StepCost mirrors fabric.StepCost with stable JSON names.
@@ -251,4 +252,37 @@ type PlanResponse struct {
 	Version string        `json:"version"`
 	Points  []PlanPoint   `json:"points"`
 	Rescue  []RescuePoint `json:"rescue,omitempty"`
+}
+
+// Series mirrors metrics.Series: one named line of a figure, its Y
+// values indexed like the figure's x ticks.
+type Series struct {
+	Name string    `json:"name"`
+	Y    []float64 `json:"y"`
+}
+
+// Figure mirrors metrics.Figure: one subplot of a paper figure, with
+// its series in plot order (the column order of the rendered table).
+type Figure struct {
+	Name   string   `json:"name"`
+	Title  string   `json:"title"`
+	XTicks []string `json:"x_ticks"`
+	Series []Series `json:"series"`
+}
+
+// FigureFrom converts a rendered figure into its API mirror under the
+// given name ("fig4", "fig5-0", ...).
+func FigureFrom(name string, f *metrics.Figure) Figure {
+	out := Figure{Name: name, Title: f.Title, XTicks: f.XTicks}
+	for _, s := range f.Series {
+		out.Series = append(out.Series, Series{Name: s.Name, Y: s.Y})
+	}
+	return out
+}
+
+// FiguresResponse carries the raw series of the paper figures one run
+// rendered, in the order it rendered them.
+type FiguresResponse struct {
+	Version string   `json:"version"`
+	Figures []Figure `json:"figures"`
 }

@@ -102,6 +102,13 @@ func TestSchemaRoundTrip(t *testing.T) {
 			Points:  []PlanPoint{{Fabric: "electrical", R: 4}},
 			Rescue:  []RescuePoint{{N: 256, Wavelengths: 8}},
 		}},
+		{"FiguresResponse", FiguresResponse{
+			Version: Version,
+			Figures: []Figure{{
+				Name: "fig5-0", Title: "Fig 5(a)", XTicks: []string{"8", "16"},
+				Series: []Series{{Name: "Ring", Y: []float64{1, 0.5}}, {Name: "WRHT", Y: []float64{0.25, 0.125}}},
+			}},
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -142,9 +142,6 @@ type CompactStep struct {
 	Endpoints []Endpoint
 }
 
-// NumTransfers returns the expanded transfer count.
-func (c CompactStep) NumTransfers() int { return len(c.Endpoints) }
-
 // chunkEqual reports value equality of two chunk chains (Chunk carries
 // a *Chunk Sub pointer, so == would compare pointers, not payloads).
 func chunkEqual(a, b tensor.Chunk) bool {

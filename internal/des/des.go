@@ -2,8 +2,7 @@
 // time-ordered event queue with deterministic FIFO tie-breaking. The
 // optical ring's event-driven mode (optical.RunScheduleDES, which the
 // straggler study perturbs per transfer) uses it to sequence
-// reconfigurations and circuit completions, and the training simulator
-// uses it to interleave per-worker compute and communication phases.
+// reconfigurations and circuit completions.
 package des
 
 import (

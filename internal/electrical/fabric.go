@@ -52,7 +52,7 @@ func (f treeFabric) CheckSchedule(s *core.Schedule) error {
 // CircuitBudget is zero: packet switching imposes no wavelength budget.
 // Budget zero disables only the wavelength range check of the engine's
 // schedule validation; the structural and conflict checks still run.
-func (f treeFabric) CircuitBudget(bool) (int, error) { return 0, nil }
+func (f treeFabric) CircuitBudget() int { return 0 }
 
 // StepCost solves the fluid model for the step. Total carries the exact
 // legacy stepDuration value; the component split is reporting-only.

@@ -13,8 +13,8 @@ import (
 )
 
 // CrossFabricResult bundles the comparison table with the raw engine
-// results so callers (cmd/wrhtsim -json) can export per-step breakdowns
-// via fabric.BreakdownRun.
+// results so callers (cmd/wrhtsim -json, through api.RunSweep) can
+// export per-step breakdowns.
 type CrossFabricResult struct {
 	Table *metrics.Table
 	// Runs holds one engine result per (algorithm, mode) cell, keyed

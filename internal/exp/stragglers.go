@@ -40,7 +40,7 @@ func Stragglers(o Options, model dnn.Model, n, w int, sigma float64, trials int,
 		}
 		var sum float64
 		for tr := 0; tr < trials; tr++ {
-			res, err := optical.RunScheduleDES(o.Optical, s, d, func(_, _ int, nominal float64) float64 {
+			tm, err := optical.RunScheduleDES(o.Optical, s, d, func(_, _ int, nominal float64) float64 {
 				f := rng.NormFloat64() * sigma
 				if f < 0 {
 					f = -f
@@ -50,13 +50,13 @@ func Stragglers(o Options, model dnn.Model, n, w int, sigma float64, trials int,
 			if err != nil {
 				return nil, fmt.Errorf("exp: stragglers (%s, trial %d): %w", s.Algorithm, tr, err)
 			}
-			sum += res.Time
+			sum += tm
 		}
 		mean := sum / float64(trials)
 		t.AddRow(s.Algorithm,
-			fmt.Sprintf("%.2f", clean.Time*1e3),
+			fmt.Sprintf("%.2f", clean*1e3),
 			fmt.Sprintf("%.2f", mean*1e3),
-			fmt.Sprintf("%.3fx", mean/clean.Time))
+			fmt.Sprintf("%.3fx", mean/clean))
 	}
 	return t, nil
 }

@@ -14,11 +14,6 @@ type Options struct {
 	// sanity and wavelength conflict-freedom against the fabric's
 	// circuit budget before timing them.
 	ValidateWavelengths bool
-	// UseFiberMultiplicity widens the circuit budget by the fabric's
-	// fibers-per-direction multiplicity (TeraRack's second fiber ring
-	// per direction, §3.2) when validating. The fabric reports an error
-	// if its multiplicity is configured below one.
-	UseFiberMultiplicity bool
 	// Overlap pipelines each step's circuit setup under the previous
 	// step's transmission when the two steps' (direction, wavelength)
 	// circuits are disjoint per the internal/rwa conflict model. Only
@@ -91,12 +86,8 @@ func (e Engine) RunSchedule(s *core.Schedule, dBytes float64) (Result, error) {
 	if err := f.CheckSchedule(s); err != nil {
 		return Result{}, err
 	}
-	budget, err := f.CircuitBudget(e.Opts.UseFiberMultiplicity)
-	if err != nil {
-		return Result{}, err
-	}
 	if e.Opts.ValidateWavelengths {
-		if err := s.Validate(budget); err != nil {
+		if err := s.Validate(f.CircuitBudget()); err != nil {
 			return Result{}, err
 		}
 	}
@@ -138,17 +129,13 @@ func (e Engine) RunStream(src core.StepSource, dBytes float64) (Result, error) {
 	if err := f.CheckSchedule(&core.Schedule{Algorithm: src.Algorithm(), Ring: src.Ring()}); err != nil {
 		return Result{}, err
 	}
-	budget, err := f.CircuitBudget(e.Opts.UseFiberMultiplicity)
-	if err != nil {
-		return Result{}, err
-	}
 	elems, err := core.ElemsOf(dBytes)
 	if err != nil {
 		return Result{}, fmt.Errorf("fabric: %w", err)
 	}
 	var v *core.StepValidator
 	if e.Opts.ValidateWavelengths {
-		v = core.NewStepValidator(src.Ring(), rwa.NewIndex(src.Ring()), budget)
+		v = core.NewStepValidator(src.Ring(), rwa.NewIndex(src.Ring()), f.CircuitBudget())
 	}
 	res := Result{Fabric: f.Name(), Algorithm: src.Algorithm()}
 	if err := e.timeSteps(src, elems, v, &res); err != nil {
@@ -249,9 +236,6 @@ func (e Engine) timeSteps(src core.StepSource, elems int, v *core.StepValidator,
 func (e Engine) RunProfile(pr core.Profile, dBytes float64) (Result, error) {
 	if e.Opts.Overlap {
 		return Result{}, fmt.Errorf("fabric: overlap mode needs an explicit schedule, not a profile (%s)", pr.Algorithm)
-	}
-	if _, err := e.Fabric.CircuitBudget(e.Opts.UseFiberMultiplicity); err != nil {
-		return Result{}, err
 	}
 	res := Result{Fabric: e.Fabric.Name(), Algorithm: pr.Algorithm, Steps: pr.NumSteps()}
 	for gi, g := range pr.Groups {

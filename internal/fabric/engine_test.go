@@ -11,7 +11,6 @@ import (
 	"wrht/internal/core"
 	"wrht/internal/tensor"
 	"wrht/internal/topo"
-	"wrht/internal/trace"
 )
 
 // stubFabric is a minimal deterministic backend: setup is a constant,
@@ -21,14 +20,13 @@ type stubFabric struct {
 	perByte   float64
 	keyed     bool
 	budget    int
-	budgetErr error
 	checkErr  error
 	costCalls int
 }
 
 func (f *stubFabric) Name() string                       { return "stub" }
 func (f *stubFabric) CheckSchedule(*core.Schedule) error { return f.checkErr }
-func (f *stubFabric) CircuitBudget(bool) (int, error)    { return f.budget, f.budgetErr }
+func (f *stubFabric) CircuitBudget() int                 { return f.budget }
 func (f *stubFabric) GroupCost(bytes float64) StepCost {
 	ser := bytes * f.perByte
 	return StepCost{Setup: f.setup, Serialization: ser, Total: f.setup + ser, MaxBytes: bytes}
@@ -200,13 +198,6 @@ func TestEngineSurfacesFabricErrors(t *testing.T) {
 	if _, err := (Engine{Fabric: &stubFabric{checkErr: boom}}).RunSchedule(s, 100); !errors.Is(err, boom) {
 		t.Errorf("CheckSchedule error lost: %v", err)
 	}
-	if _, err := (Engine{Fabric: &stubFabric{budgetErr: boom}}).RunSchedule(s, 100); !errors.Is(err, boom) {
-		t.Errorf("CircuitBudget error lost: %v", err)
-	}
-	pr := core.Profile{Groups: []core.ProfileGroup{{Steps: 1, FracOfD: 1}}}
-	if _, err := (Engine{Fabric: &stubFabric{budgetErr: boom}}).RunProfile(pr, 100); !errors.Is(err, boom) {
-		t.Errorf("profile CircuitBudget error lost: %v", err)
-	}
 }
 
 func TestValidateWavelengthsEnforcesBudget(t *testing.T) {
@@ -217,34 +208,6 @@ func TestValidateWavelengthsEnforcesBudget(t *testing.T) {
 	}
 	if _, err := (Engine{Fabric: f}).RunSchedule(s, 100); err != nil {
 		t.Fatalf("validation off should not reject: %v", err)
-	}
-}
-
-func TestBreakdownRunShape(t *testing.T) {
-	f := &stubFabric{setup: 1, perByte: 0.1}
-	s := sched(8, step(0, 1, 0), step(2, 3, 0))
-	res, err := Engine{Fabric: f, Opts: Options{Overlap: true}}.RunSchedule(s, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := BreakdownRun("breakdown", res)
-	bySeries := map[string][]trace.Point{}
-	for _, s := range run.Series {
-		bySeries[s.Name] = s.Points
-	}
-	for _, name := range []string{"reconfig", "serialization", "oeo", "router-delay", "overlapped"} {
-		if len(bySeries[name]) != 2 {
-			t.Errorf("series %q has %d points, want 2", name, len(bySeries[name]))
-		}
-	}
-	if pt := bySeries["overlapped"][1]; pt.Y != f.setup || !strings.HasPrefix(pt.X, "1:") {
-		t.Errorf("overlapped[1] = %+v, want setup %g hidden at step 1", pt, f.setup)
-	}
-	if run.Scalars["overlap-saved"] != res.OverlapSaved || run.Scalars["time"] != res.Time {
-		t.Errorf("scalars %v disagree with result %+v", run.Scalars, res)
-	}
-	if run.Params["fabric"] != "stub" || run.Params["algorithm"] != "test" {
-		t.Errorf("params %v", run.Params)
 	}
 }
 

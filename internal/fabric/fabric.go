@@ -72,10 +72,7 @@ type Fabric interface {
 	// CircuitBudget returns the per-direction circuit count available to
 	// one step, used to validate explicit schedules; zero means
 	// unconstrained (the packet-switched fabric multiplexes freely).
-	// withFibers widens the budget by the physical fiber multiplicity
-	// per direction (TeraRack routes two fiber rings each way) and
-	// errors when the fabric's multiplicity is configured below one.
-	CircuitBudget(withFibers bool) (int, error)
+	CircuitBudget() int
 	// StepCost times one explicit step of a schedule carrying an
 	// elems-element (4-byte) per-node vector.
 	StepCost(st core.Step, elems int) StepCost

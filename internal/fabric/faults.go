@@ -81,16 +81,12 @@ func (e Engine) RunScheduleFaulted(s *core.Schedule, dBytes float64, fo FaultOpt
 		return FaultResult{}, fmt.Errorf("fabric: overlap mode is incompatible with fault injection")
 	}
 	f := e.Fabric
-	budget, err := f.CircuitBudget(e.Opts.UseFiberMultiplicity)
-	if err != nil {
-		return FaultResult{}, err
-	}
 	check := func(ns *core.Schedule) error {
 		if err := f.CheckSchedule(ns); err != nil {
 			return err
 		}
 		if e.Opts.ValidateWavelengths {
-			if err := ns.Validate(budget); err != nil {
+			if err := ns.Validate(f.CircuitBudget()); err != nil {
 				return err
 			}
 		}

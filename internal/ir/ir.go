@@ -70,18 +70,6 @@ type Program struct {
 	ix *rwa.Index
 }
 
-// LowerSource is Lower over a step stream. The IR is inherently
-// materialized — dependency edges, reordering passes and boundary
-// export all need random access to the whole program — so the stream
-// is collected first and lowered through the materialized path; peak
-// memory is O(total schedule), not the O(max step) of the purely
-// streaming consumers (StepValidator, fabric.Engine.RunStream). Use it
-// only where IR rewrites are actually wanted; at step counts where
-// materialization hurts, run the stream directly.
-func LowerSource(src core.StepSource, budget int) (*Program, error) {
-	return Lower(core.Collect(src), budget)
-}
-
 // Lower converts a schedule into IR form, computing each transfer's
 // occupied arc and the inter-step dependency edges. The schedule is
 // validated first (against budget, 0 = uncapped) so passes start from a

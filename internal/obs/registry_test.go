@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -45,40 +42,5 @@ func TestRegistryConcurrentAccumulation(t *testing.T) {
 	}
 	if v := r.Gauge("busy").Value(); v < 7.999 || v > 8.001 {
 		t.Fatalf("busy = %g, want ~8", v)
-	}
-}
-
-func TestRegistryWriteTextSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("z.last").Add(2)
-	r.Counter("a.first").Add(1)
-	r.Gauge("m.middle").Set(0.5)
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want := "a.first 1\nm.middle 0.5\nz.last 2\n"
-	if buf.String() != want {
-		t.Fatalf("text dump = %q, want %q", buf.String(), want)
-	}
-}
-
-func TestRegistryWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(3)
-	r.Gauge("g").Set(1.25)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var s Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &s); err != nil {
-		t.Fatalf("dump is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if s.Counters["c"] != 3 || s.Gauges["g"] != 1.25 {
-		t.Fatalf("roundtrip lost values: %+v", s)
-	}
-	if !strings.HasSuffix(buf.String(), "\n") {
-		t.Fatal("JSON dump missing trailing newline")
 	}
 }

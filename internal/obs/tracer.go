@@ -46,9 +46,9 @@ type traceEvent struct {
 type Tracer struct {
 	// Clock, when set, supplies timestamps for producers that trace
 	// their own progress rather than a simulated timeline (the sweep
-	// engine's per-point spans). It is injectable for the same reason as
-	// trace.Recorder.Now: tests install a deterministic clock, the CLI a
-	// wall clock for diagnostics. Simulated-time producers ignore it.
+	// engine's per-point spans). It is injectable so tests can install
+	// a deterministic clock and the CLI a wall clock for diagnostics.
+	// Simulated-time producers ignore it.
 	Clock func() float64
 
 	mu     sync.Mutex

@@ -25,27 +25,24 @@ import (
 type TransferDelay func(step, transfer int, nominal float64) float64
 
 // RunScheduleDES executes the schedule on the discrete-event kernel and
-// returns the simulated timing. If delay is non-nil it perturbs each
-// transfer's duration (fault/straggler injection).
-func RunScheduleDES(p Params, s *core.Schedule, dBytes float64, delay TransferDelay) (Result, error) {
+// returns its completion time in seconds. If delay is non-nil it
+// perturbs each transfer's duration (fault/straggler injection).
+func RunScheduleDES(p Params, s *core.Schedule, dBytes float64, delay TransferDelay) (float64, error) {
 	return RunScheduleDESObserved(p, s, dBytes, delay, nil)
 }
 
 // RunScheduleDESObserved is RunScheduleDES with a des.Hook attached to
 // the kernel. Reconfiguration and transfer completions are scheduled as
-// labeled events ("reconfig", "transfer"), so an observing hook (the
-// Perfetto kernel observer in internal/obs) sees them by name on the
-// simulated timeline.
-func RunScheduleDESObserved(p Params, s *core.Schedule, dBytes float64, delay TransferDelay, hook des.Hook) (Result, error) {
+// labeled events ("reconfig", "transfer"), so an observing hook sees
+// them by name on the simulated timeline.
+func RunScheduleDESObserved(p Params, s *core.Schedule, dBytes float64, delay TransferDelay, hook des.Hook) (float64, error) {
 	if err := p.validate(); err != nil {
-		return Result{}, err
+		return 0, err
 	}
 	elems, err := core.ElemsOf(dBytes)
 	if err != nil {
-		return Result{}, fmt.Errorf("optical: %w", err)
+		return 0, fmt.Errorf("optical: %w", err)
 	}
-	res := Result{Algorithm: s.Algorithm, Steps: s.NumSteps()}
-
 	k := des.Kernel{Hook: hook}
 	var runErr error
 	var runStep func(si int)
@@ -54,23 +51,18 @@ func RunScheduleDESObserved(p Params, s *core.Schedule, dBytes float64, delay Tr
 			return
 		}
 		st := s.Steps[si]
-		stepStart := k.Now()
-		finish := func() {
-			res.PerStep = append(res.PerStep, StepReport{Phase: st.Phase, Duration: k.Now() - stepStart})
-			runStep(si + 1)
-		}
 		// Every transfer event of the step shares one completion
 		// callback; the step finishes when the last circuit drains.
 		remaining := len(st.Transfers)
 		done := func() {
 			if remaining--; remaining == 0 {
-				finish()
+				runStep(si + 1)
 			}
 		}
 		// Reconfigure the MRRs, then launch every circuit in parallel.
 		k.AfterNamed(p.ReconfigDelay, "reconfig", func() {
 			if len(st.Transfers) == 0 {
-				finish()
+				runStep(si + 1)
 				return
 			}
 			for ti, t := range st.Transfers {
@@ -94,10 +86,9 @@ func RunScheduleDESObserved(p Params, s *core.Schedule, dBytes float64, delay Tr
 	runStep(0)
 	end := k.Run()
 	if runErr != nil {
-		return Result{}, runErr
+		return 0, runErr
 	}
-	res.Time = end
-	return res, nil
+	return end, nil
 }
 
 // CheckAgainstAnalytic runs both execution modes and returns an error if
@@ -108,21 +99,16 @@ func CheckAgainstAnalytic(p Params, s *core.Schedule, dBytes float64) error {
 	if err != nil {
 		return err
 	}
-	ar, err := fabric.Engine{Fabric: f}.RunSchedule(s, dBytes)
+	a, err := fabric.Engine{Fabric: f}.RunSchedule(s, dBytes)
 	if err != nil {
 		return err
 	}
-	a := fromFabric(ar)
 	d, err := RunScheduleDES(p, s, dBytes, nil)
 	if err != nil {
 		return err
 	}
-	diff := a.Time - d.Time
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > 1e-9*float64(1+s.NumSteps()) {
-		return fmt.Errorf("optical: analytic %.12f vs DES %.12f differ", a.Time, d.Time)
+	if diff := math.Abs(a.Time - d); diff > 1e-9*float64(1+s.NumSteps()) {
+		return fmt.Errorf("optical: analytic %.12f vs DES %.12f differ", a.Time, d)
 	}
 	return nil
 }

@@ -55,34 +55,60 @@ func TestDESStragglerInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := slow.Time - base.Time
+	got := slow - base
 	if diff := got - extra; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("straggler extended total by %.9f, want %.9f", got, extra)
 	}
 }
 
+// stepStartHook records when each step began: the step's "reconfig"
+// event is scheduled at its start.
+type stepStartHook struct{ starts []float64 }
+
+func (h *stepStartHook) EventScheduled(_ uint64, _, now float64, label string) {
+	if label == "reconfig" {
+		h.starts = append(h.starts, now)
+	}
+}
+func (h *stepStartHook) EventFired(uint64, float64, string) {}
+
+// TestDESPerStepReports: each step's span on the DES timeline matches
+// the engine's per-step report, and the spans add up to the total.
 func TestDESPerStepReports(t *testing.T) {
 	p := DefaultParams()
 	s, err := core.BuildWRHT(core.Config{N: 15, Wavelengths: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunScheduleDES(p, s, 1e6, nil)
+	h := &stepStartHook{}
+	total, err := RunScheduleDESObserved(p, s, 1e6, nil, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerStep) != 3 {
-		t.Fatalf("per-step reports = %d", len(res.PerStep))
+	eng, err := runSchedule(p, s, 1e6, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.starts) != 3 || len(eng.PerStep) != 3 {
+		t.Fatalf("DES steps = %d, engine per-step reports = %d, want 3", len(h.starts), len(eng.PerStep))
 	}
 	var sum float64
-	for _, r := range res.PerStep {
-		if r.Duration <= 0 {
-			t.Fatalf("non-positive step duration: %+v", r)
+	for i, start := range h.starts {
+		end := total
+		if i+1 < len(h.starts) {
+			end = h.starts[i+1]
 		}
-		sum += r.Duration
+		d := end - start
+		if d <= 0 {
+			t.Fatalf("step %d: non-positive duration %g", i, d)
+		}
+		if diff := d - eng.PerStep[i].Duration; diff > 1e-12 || diff < -1e-12 {
+			t.Errorf("step %d: DES %.12f vs engine %.12f", i, d, eng.PerStep[i].Duration)
+		}
+		sum += d
 	}
-	if diff := sum - res.Time; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("step durations sum %.12f != total %.12f", sum, res.Time)
+	if diff := sum - total; diff > 1e-12 || diff < -1e-12 {
+		t.Fatalf("step durations sum %.12f != total %.12f", sum, total)
 	}
 }
 

@@ -1,8 +1,6 @@
 package optical
 
 import (
-	"fmt"
-
 	"wrht/internal/core"
 	"wrht/internal/fabric"
 )
@@ -30,19 +28,10 @@ func (f ringFabric) Name() string { return "optical" }
 // the schedule declares.
 func (f ringFabric) CheckSchedule(*core.Schedule) error { return nil }
 
-// CircuitBudget returns the per-direction wavelength budget. With
-// withFibers set, the budget is widened by the physical fiber
-// multiplicity (TeraRack routes two fiber rings per direction, §3.2);
-// a multiplicity below one is a configuration error.
-func (f ringFabric) CircuitBudget(withFibers bool) (int, error) {
-	if !withFibers {
-		return f.p.Wavelengths, nil
-	}
-	if f.p.FibersPerDirection < 1 {
-		return 0, fmt.Errorf("optical: fibers per direction %d < 1", f.p.FibersPerDirection)
-	}
-	return f.p.EffectiveWavelengths(), nil
-}
+// CircuitBudget returns the per-direction wavelength budget. The
+// conflict model uses one fiber ring per direction; see
+// Params.EffectiveWavelengths for the fiber multiplicity.
+func (f ringFabric) CircuitBudget() int { return f.p.Wavelengths }
 
 func (f ringFabric) GroupCost(bytes float64) fabric.StepCost {
 	ser, oeo := f.p.transferParts(bytes)

@@ -15,6 +15,51 @@ import (
 // that the deprecated Run* shims are gone — changed no result bit. They
 // intentionally duplicate arithmetic rather than call into the engine.
 
+// StepReport records the simulated timing of one step in the
+// pre-engine simulator's result shape.
+type StepReport struct {
+	Phase    core.Phase
+	Duration float64 // seconds, including the reconfiguration delay
+	MaxBytes float64 // payload of the critical circuit
+}
+
+// Result is the pre-engine simulator's outcome of one collective: the
+// shape the legacy oracles below produce, and fromFabric converts
+// engine results into.
+type Result struct {
+	Algorithm string
+	Steps     int
+	// Time is the total communication time in seconds (Eq 6 for
+	// constant-payload schedules).
+	Time float64
+	// TransferTime and OverheadTime split Time into the serialization
+	// component (d·θ/B) and the per-step component (a·θ).
+	TransferTime float64
+	OverheadTime float64
+	// PerStep is the per-step breakdown (only populated by schedule runs,
+	// not profile runs).
+	PerStep []StepReport
+}
+
+// fromFabric converts an engine result to the legacy optical result.
+func fromFabric(r fabric.Result) Result {
+	res := Result{
+		Algorithm:    r.Algorithm,
+		Steps:        r.Steps,
+		Time:         r.Time,
+		TransferTime: r.TransferTime,
+		OverheadTime: r.OverheadTime,
+	}
+	for _, sr := range r.PerStep {
+		res.PerStep = append(res.PerStep, StepReport{
+			Phase:    sr.Phase,
+			Duration: sr.Duration(),
+			MaxBytes: sr.Cost.MaxBytes,
+		})
+	}
+	return res
+}
+
 // runSchedule, runProfile and runBuckets drive fabric.Engine the way
 // production callers do, converting back to the package Result so the
 // legacy oracles compare field by field.

@@ -107,12 +107,6 @@ func (ix *Index) Preoccupy(dir topo.Direction, a topo.Arc, w int) {
 	ix.Occupy(dir, a, w)
 }
 
-// ClearPreoccupied drops every pre-occupied cell and clears the index.
-func (ix *Index) ClearPreoccupied() {
-	ix.base = ix.base[:0]
-	ix.Reset()
-}
-
 // arcRanges splits the wrapped segment interval of a into at most two
 // ascending half-open ranges [lo1,hi1) and [lo2,hi2).
 func (ix *Index) arcRanges(a topo.Arc) (lo1, hi1, lo2, hi2 int) {

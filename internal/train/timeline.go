@@ -2,9 +2,9 @@ package train
 
 import (
 	"fmt"
+	"math"
 
 	"wrht/internal/core"
-	"wrht/internal/des"
 	"wrht/internal/dnn"
 	"wrht/internal/fabric"
 	"wrht/internal/obs"
@@ -16,10 +16,10 @@ import (
 // data-parallel training: per iteration every worker computes for
 // ComputeSecPerIter (the paper's profiled GPU time), then the cluster
 // performs one all-reduce whose duration comes from the optical (or any
-// Eq-6-style) model. The simulation runs on the DES kernel so worker
-// compute phases genuinely interleave and the communication step is the
-// synchronisation barrier — the structure behind the paper's claim that
-// all-reduce takes 50–90% of iteration time at scale [35].
+// Eq-6-style) model. The all-reduce is the synchronisation barrier: it
+// starts when the slowest worker finishes computing — the structure
+// behind the paper's claim that all-reduce takes 50–90% of iteration
+// time at scale [35].
 type Timeline struct {
 	Workers    int
 	Iterations int
@@ -53,12 +53,14 @@ type TimelineResult struct {
 	CommFraction float64 // share of total spent in all-reduce
 }
 
-// Run simulates the timeline and returns the totals.
+// Run simulates the timeline and returns the totals. Each iteration's
+// barrier is the latest worker finish, start + c_w over the workers,
+// and the next iteration starts when the all-reduce that follows it
+// completes. A negative or NaN compute or all-reduce time panics.
 func (tl Timeline) Run() TimelineResult {
 	if tl.Workers < 1 || tl.Iterations < 0 {
 		panic(fmt.Sprintf("train: timeline workers=%d iterations=%d invalid", tl.Workers, tl.Iterations))
 	}
-	var k des.Kernel
 	var res TimelineResult
 	tracedWorkers := tl.TraceWorkers
 	if tracedWorkers <= 0 {
@@ -68,14 +70,11 @@ func (tl Timeline) Run() TimelineResult {
 	if tl.Workers > 1 {
 		slowest = tl.ComputeSec * (1 + tl.Skew)
 	}
-	var iterate func(it int)
-	iterate = func(it int) {
-		if it >= tl.Iterations {
-			return
-		}
-		// All workers compute concurrently; the barrier fires when the
+	var now float64
+	for it := 0; it < tl.Iterations; it++ {
+		// All workers compute concurrently; the barrier falls when the
 		// slowest finishes.
-		done := 0
+		barrier := now
 		for wkr := 0; wkr < tl.Workers; wkr++ {
 			c := tl.ComputeSec
 			if tl.Workers > 1 {
@@ -83,31 +82,34 @@ func (tl Timeline) Run() TimelineResult {
 			}
 			if tl.Trace != nil && wkr < tracedWorkers {
 				tl.Trace.Span(obs.Track{Process: tl.TraceProcess, Name: fmt.Sprintf("worker %d", wkr)},
-					"compute", k.Now(), c, obs.Args{"iteration": it})
+					"compute", now, c, obs.Args{"iteration": it})
 			}
-			k.AfterNamed(c, "compute", func() {
-				done++
-				if done == tl.Workers {
-					res.ComputeSec += slowest
-					// Synchronous all-reduce.
-					if tl.Trace != nil {
-						tl.Trace.Span(obs.Track{Process: tl.TraceProcess, Name: "all-reduce"},
-							"all-reduce", k.Now(), tl.CommSec, obs.Args{"iteration": it})
-					}
-					k.AfterNamed(tl.CommSec, "all-reduce", func() {
-						res.CommSec += tl.CommSec
-						iterate(it + 1)
-					})
-				}
-			})
+			checkDuration("compute", c)
+			barrier = max(barrier, now+c)
 		}
+		res.ComputeSec += slowest
+		// Synchronous all-reduce.
+		if tl.Trace != nil {
+			tl.Trace.Span(obs.Track{Process: tl.TraceProcess, Name: "all-reduce"},
+				"all-reduce", barrier, tl.CommSec, obs.Args{"iteration": it})
+		}
+		checkDuration("all-reduce", tl.CommSec)
+		now = barrier + tl.CommSec
+		res.CommSec += tl.CommSec
 	}
-	iterate(0)
-	res.TotalSec = k.Run()
+	res.TotalSec = now
 	if res.TotalSec > 0 {
 		res.CommFraction = res.CommSec / res.TotalSec
 	}
 	return res
+}
+
+// checkDuration panics on a negative or NaN phase duration, which would
+// run the timeline backwards or poison every later timestamp.
+func checkDuration(phase string, d float64) {
+	if d < 0 || math.IsNaN(d) {
+		panic(fmt.Sprintf("train: %s time %g is negative or NaN", phase, d))
+	}
 }
 
 // EpochTimeline builds a Timeline for one training epoch of a workload

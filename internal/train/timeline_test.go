@@ -2,11 +2,14 @@ package train
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"wrht/internal/collective"
 	"wrht/internal/core"
+	"wrht/internal/des"
 	"wrht/internal/dnn"
 	"wrht/internal/fabric"
 	"wrht/internal/obs"
@@ -127,5 +130,135 @@ func TestTimelineTraceSpans(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("timeline trace is not byte-stable across runs")
+	}
+}
+
+// desRun is the event-driven simulation Timeline.Run replaced, kept
+// verbatim on the DES kernel as the == oracle of the barrier loop:
+// every worker's compute finish is an event, the last one fires the
+// all-reduce, and the all-reduce's completion starts the next
+// iteration.
+func desRun(tl Timeline) TimelineResult {
+	if tl.Workers < 1 || tl.Iterations < 0 {
+		panic(fmt.Sprintf("train: timeline workers=%d iterations=%d invalid", tl.Workers, tl.Iterations))
+	}
+	var k des.Kernel
+	var res TimelineResult
+	tracedWorkers := tl.TraceWorkers
+	if tracedWorkers <= 0 {
+		tracedWorkers = 8
+	}
+	slowest := tl.ComputeSec
+	if tl.Workers > 1 {
+		slowest = tl.ComputeSec * (1 + tl.Skew)
+	}
+	var iterate func(it int)
+	iterate = func(it int) {
+		if it >= tl.Iterations {
+			return
+		}
+		// All workers compute concurrently; the barrier fires when the
+		// slowest finishes.
+		done := 0
+		for wkr := 0; wkr < tl.Workers; wkr++ {
+			c := tl.ComputeSec
+			if tl.Workers > 1 {
+				c *= 1 + tl.Skew*float64(wkr)/float64(tl.Workers-1)
+			}
+			if tl.Trace != nil && wkr < tracedWorkers {
+				tl.Trace.Span(obs.Track{Process: tl.TraceProcess, Name: fmt.Sprintf("worker %d", wkr)},
+					"compute", k.Now(), c, obs.Args{"iteration": it})
+			}
+			k.AfterNamed(c, "compute", func() {
+				done++
+				if done == tl.Workers {
+					res.ComputeSec += slowest
+					// Synchronous all-reduce.
+					if tl.Trace != nil {
+						tl.Trace.Span(obs.Track{Process: tl.TraceProcess, Name: "all-reduce"},
+							"all-reduce", k.Now(), tl.CommSec, obs.Args{"iteration": it})
+					}
+					k.AfterNamed(tl.CommSec, "all-reduce", func() {
+						res.CommSec += tl.CommSec
+						iterate(it + 1)
+					})
+				}
+			})
+		}
+	}
+	iterate(0)
+	res.TotalSec = k.Run()
+	if res.TotalSec > 0 {
+		res.CommFraction = res.CommSec / res.TotalSec
+	}
+	return res
+}
+
+// TestTimelineMatchesDESOracle: over seeded random configurations the
+// barrier loop reproduces the event-driven simulation exactly — every
+// total compared with ==, and the Perfetto bytes of traced runs equal.
+func TestTimelineMatchesDESOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	duration := func(scale float64) float64 {
+		if rng.Intn(10) == 0 {
+			return 0
+		}
+		return rng.Float64() * scale
+	}
+	for i := 0; i < 2000; i++ {
+		tl := Timeline{
+			Workers:      1 + rng.Intn(64),
+			Iterations:   rng.Intn(41),
+			ComputeSec:   duration(0.2),
+			CommSec:      duration(0.1),
+			Skew:         rng.Float64()*2 - 0.5,
+			TraceWorkers: rng.Intn(10),
+		}
+		var got, want TimelineResult
+		var a, b bytes.Buffer
+		if i%4 == 0 {
+			tl.TraceProcess = fmt.Sprintf("config %d", i)
+			tl.Trace = obs.NewTracer()
+			got = tl.Run()
+			if _, err := tl.Trace.WriteTo(&a); err != nil {
+				t.Fatal(err)
+			}
+			tl.Trace = obs.NewTracer()
+			want = desRun(tl)
+			if _, err := tl.Trace.WriteTo(&b); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			got, want = tl.Run(), desRun(tl)
+		}
+		if got != want {
+			t.Fatalf("config %d %+v: loop %+v != DES %+v", i, tl, got, want)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("config %d %+v: trace differs from the DES oracle's", i, tl)
+		}
+	}
+}
+
+// TestTimelinePanicsOnBadDurations: a negative or NaN compute or
+// all-reduce time panics, as the event kernel did on such a delay.
+func TestTimelinePanicsOnBadDurations(t *testing.T) {
+	for _, tl := range []Timeline{
+		{Workers: 4, Iterations: 2, ComputeSec: -1, CommSec: 1},
+		{Workers: 4, Iterations: 2, ComputeSec: math.NaN(), CommSec: 1},
+		{Workers: 4, Iterations: 2, ComputeSec: 1, CommSec: -1},
+		{Workers: 4, Iterations: 2, ComputeSec: 1, CommSec: math.NaN()},
+		{Workers: 4, Iterations: 2, ComputeSec: 1, CommSec: 1, Skew: -2},
+	} {
+		for name, run := range map[string]func(Timeline) TimelineResult{"loop": Timeline.Run, "DES": desRun} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: no panic for %+v", name, tl)
+					}
+				}()
+				run(tl)
+			}()
+		}
 	}
 }

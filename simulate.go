@@ -83,9 +83,8 @@ func WithObserver(ob SimObserver) SimOption {
 	return func(ss *simSpec) { ss.observer = ob }
 }
 
-// Simulate times a collective on a backend, unifying what used to be
-// SimulateOptical, SimulateOpticalProfile and SimulateElectrical (which
-// remain as thin wrappers). The collective c is either an explicit
+// Simulate times a collective on a backend — the one simulation
+// entrypoint for both fabrics. The collective c is either an explicit
 // *Schedule or an analytic Profile:
 //
 //	res, err := wrht.Simulate(wrht.Optical, sched, 100e6)

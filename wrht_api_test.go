@@ -7,8 +7,18 @@ import (
 	"wrht"
 )
 
+// build is Build for schedules a test cannot proceed without.
+func build(t *testing.T, kind wrht.Kind, n int, opts ...wrht.BuildOption) *wrht.Schedule {
+	t.Helper()
+	s, err := wrht.Build(kind, n, opts...)
+	if err != nil {
+		t.Fatalf("Build(%s, %d): %v", kind, n, err)
+	}
+	return s
+}
+
 func TestFacadeQuickstartFlow(t *testing.T) {
-	sched, err := wrht.NewSchedule(wrht.Config{N: 15, Wavelengths: 2})
+	sched, err := wrht.Build(wrht.KindWRHT, 15, wrht.WithWavelengths(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +42,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if inputs[3][0] != 3 {
 		t.Fatal("AllReduce mutated inputs")
 	}
-	res, err := wrht.SimulateOptical(wrht.DefaultOpticalParams(), sched, 100e6)
+	res, err := wrht.Simulate(wrht.Optical, sched, 100e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,17 +52,17 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 }
 
 func TestFacadeBaselinesAndProfiles(t *testing.T) {
-	if wrht.RingSchedule(8).NumSteps() != 14 {
+	if build(t, wrht.KindRing, 8).NumSteps() != 14 {
 		t.Fatal("ring steps")
 	}
-	if wrht.BTSchedule(8).NumSteps() != 6 {
+	if build(t, wrht.KindBT, 8).NumSteps() != 6 {
 		t.Fatal("bt steps")
 	}
-	rd, err := wrht.RDSchedule(8)
+	rd, err := wrht.Build(wrht.KindRD, 8)
 	if err != nil || rd.NumSteps() != 6 {
 		t.Fatalf("rd: %v %d", err, rd.NumSteps())
 	}
-	hr, err := wrht.HRingSchedule(8, 2, 4)
+	hr, err := wrht.Build(wrht.KindHRing, 8, wrht.WithGroupSize(2), wrht.WithWavelengths(4))
 	if err != nil || hr.NumSteps() == 0 {
 		t.Fatalf("hring: %v", err)
 	}
@@ -60,7 +70,7 @@ func TestFacadeBaselinesAndProfiles(t *testing.T) {
 	if err != nil || pr.NumSteps() != 4 {
 		t.Fatalf("profile: %v %d", err, pr.NumSteps())
 	}
-	res, err := wrht.SimulateOpticalProfile(wrht.DefaultOpticalParams(), wrht.RingProfile(1024), 1e6)
+	res, err := wrht.Simulate(wrht.Optical, wrht.RingProfile(1024), 1e6)
 	if err != nil || res.Steps != 2046 {
 		t.Fatalf("profile sim: %v %+v", err, res)
 	}
@@ -83,7 +93,7 @@ func TestFacadeAnalysisAndConstraints(t *testing.T) {
 		t.Fatalf("MaxGroupSize = %d", m)
 	}
 	// The constraint clamps the schedule.
-	s, err := wrht.NewSchedule(wrht.Config{N: 1024, Wavelengths: 64, MaxGroupSize: m})
+	s, err := wrht.Build(wrht.KindWRHT, 1024, wrht.WithWavelengths(64), wrht.WithMaxGroupSize(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +103,14 @@ func TestFacadeAnalysisAndConstraints(t *testing.T) {
 }
 
 func TestFacadeTorusAndElectrical(t *testing.T) {
-	tor := wrht.NewTorus(4, 4)
-	s, err := wrht.NewTorusSchedule(tor, 2, 0)
+	s, err := wrht.Build(wrht.KindTorus, 16, wrht.WithDims(4, 4), wrht.WithWavelengths(2))
 	if err != nil || s.NumSteps() == 0 {
 		t.Fatalf("torus: %v", err)
 	}
-	tm, err := wrht.SimulateElectrical(wrht.DefaultElectricalParams(), 16, wrht.RingSchedule(16), 1e6)
-	if err != nil || tm <= 0 {
-		t.Fatalf("electrical: %v %g", err, tm)
+	res, err := wrht.Simulate(wrht.ElectricalFatTree, build(t, wrht.KindRing, 16), 1e6,
+		wrht.WithElectricalParams(wrht.DefaultElectricalParams()), wrht.WithHosts(16))
+	if err != nil || res.Time <= 0 {
+		t.Fatalf("electrical: %v %g", err, res.Time)
 	}
 }
 
@@ -121,7 +131,7 @@ func TestFacadeWorkloads(t *testing.T) {
 
 // ExampleAllReduce demonstrates the three-line all-reduce flow.
 func ExampleAllReduce() {
-	sched, _ := wrht.NewSchedule(wrht.Config{N: 4, Wavelengths: 2})
+	sched, _ := wrht.Build(wrht.KindWRHT, 4, wrht.WithWavelengths(2))
 	out, _ := wrht.AllReduce(sched, []wrht.Vector{{1}, {2}, {3}, {4}}, true)
 	fmt.Println(out[0][0], out[3][0])
 	// Output: 2.5 2.5
@@ -129,12 +139,12 @@ func ExampleAllReduce() {
 
 func TestFacadeExtensions(t *testing.T) {
 	// Mesh variant (§6.1).
-	mesh, err := wrht.NewMeshSchedule(wrht.NewMesh(3, 5), 2, 0)
+	mesh, err := wrht.Build(wrht.KindMesh, 15, wrht.WithDims(3, 5), wrht.WithWavelengths(2))
 	if err != nil || mesh.NumSteps() == 0 {
 		t.Fatalf("mesh: %v", err)
 	}
 	// Segment variant (§6.2).
-	seg, err := wrht.NewSegmentSchedule(32, []int{8, 9, 10, 11}, 4, 0)
+	seg, err := wrht.Build(wrht.KindSegment, 32, wrht.WithParticipants(8, 9, 10, 11), wrht.WithWavelengths(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,33 +156,29 @@ func TestFacadeExtensions(t *testing.T) {
 		}
 	}
 	// DBTree and primitives.
-	if wrht.DBTreeSchedule(16).NumSteps() != 8 {
+	if build(t, wrht.KindDBTree, 16).NumSteps() != 8 {
 		t.Fatal("dbtree steps")
 	}
-	bc, err := wrht.BroadcastSchedule(16, 4, 3)
+	bc, err := wrht.Build(wrht.KindBroadcast, 16, wrht.WithWavelengths(4), wrht.WithRoot(3))
 	if err != nil || bc.NumSteps() == 0 {
 		t.Fatalf("broadcast: %v", err)
 	}
-	rd, err := wrht.ReduceSchedule(16, 4, 3)
+	rd, err := wrht.Build(wrht.KindReduce, 16, wrht.WithWavelengths(4), wrht.WithRoot(3))
 	if err != nil || rd.NumSteps() == 0 {
 		t.Fatalf("reduce: %v", err)
 	}
-	if wrht.ReduceScatterSchedule(8).NumSteps() != 7 || wrht.AllGatherSchedule(8).NumSteps() != 7 {
+	if build(t, wrht.KindReduceScatter, 8).NumSteps() != 7 || build(t, wrht.KindAllGather, 8).NumSteps() != 7 {
 		t.Fatal("rs/ag steps")
 	}
 	// MRR-level verification through the facade.
-	s, err := wrht.NewSchedule(wrht.Config{N: 64, Wavelengths: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wrht.VerifyMRR(s); err != nil {
+	if err := wrht.VerifyMRR(build(t, wrht.KindWRHT, 64, wrht.WithWavelengths(8))); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// ExampleNewSchedule shows the Fig-2 motivating configuration.
-func ExampleNewSchedule() {
-	sched, _ := wrht.NewSchedule(wrht.Config{N: 15, Wavelengths: 2})
+// ExampleBuild shows the Fig-2 motivating configuration.
+func ExampleBuild() {
+	sched, _ := wrht.Build(wrht.KindWRHT, 15, wrht.WithWavelengths(2))
 	fmt.Println(sched.NumSteps())
 	// Output: 3
 }
