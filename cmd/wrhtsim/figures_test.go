@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"wrht/internal/api"
@@ -73,6 +74,43 @@ func TestFiguresJSON(t *testing.T) {
 			}
 			if plot := []string{"Ring", "H-Ring", "BT", "WRHT"}; !slices.Equal(names, plot) {
 				t.Errorf("%s: series %v, want plot order %v", f.Name, names, plot)
+			}
+		}
+	}
+}
+
+// TestJSONRejectedWithoutDocument: -json on a subcommand that writes no
+// JSON document (or on build's memory report) exits 2 before running
+// anything, names the subcommands that do write JSON, and creates no
+// file.
+func TestJSONRejectedWithoutDocument(t *testing.T) {
+	dir := t.TempDir()
+	for _, cmd := range []string{"table1", "stragglers", "extras", "constraints", "hybrid", "crossover", "schedule", "build -memstats"} {
+		name, memstats := strings.CutSuffix(cmd, " -memstats")
+		path := filepath.Join(dir, name+".json")
+		stderr := filepath.Join(dir, name+".stderr")
+		f, err := os.Create(stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := os.Stderr
+		os.Stderr = f
+		code := run(runConfig{cmd: name, granularity: "fused", workers: 1, jsonOut: path, memstats: memstats, n: 64, w: 8})
+		os.Stderr = old
+		f.Close()
+		if code != 2 {
+			t.Errorf("%s -json: exit %d, want 2", cmd, code)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s -json: %s exists (stat err %v)", cmd, path, err)
+		}
+		msg, err := os.ReadFile(stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range jsonCommands {
+			if !bytes.Contains(msg, []byte(c)) {
+				t.Errorf("%s -json: message %q does not name %s", cmd, msg, c)
 			}
 		}
 	}

@@ -22,6 +22,8 @@
 // equivalent /v1/sweep, /v1/plan or /v1/build request (the parity test
 // in this package pins that); for fig4–fig7 and all it writes the raw
 // figure series as an api.FiguresResponse, byte-identical across runs.
+// Any other subcommand, and build -memstats, rejects -json with exit
+// code 2.
 //
 // The overlap subcommand compares the engine's opportunistic overlap
 // mode against schedules rewritten by the internal/ir pass pipeline
@@ -82,6 +84,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -274,7 +277,22 @@ type runConfig struct {
 	promAddr string
 }
 
+// jsonCommands are the subcommands -json writes a document for.
+var jsonCommands = []string{"build", "crossfabric", "faults", "overlap", "plan", "fig4", "fig5", "fig6", "fig7", "all"}
+
 func run(cfg runConfig) int {
+	// -json needs a subcommand with a JSON document; build's memory
+	// report has none.
+	memReport := cfg.cmd == "build" && cfg.memstats
+	if cfg.jsonOut != "" && (memReport || !slices.Contains(jsonCommands, cfg.cmd)) {
+		what := cfg.cmd
+		if memReport {
+			what += " -memstats"
+		}
+		fmt.Fprintf(os.Stderr, "wrhtsim: -json is not supported by %q; only %s write JSON\n",
+			what, strings.Join(jsonCommands, ", "))
+		return 2
+	}
 	o := exp.Defaults()
 	o.Workers = cfg.workers
 	switch cfg.granularity {

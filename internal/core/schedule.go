@@ -110,9 +110,9 @@ func (s *Schedule) WavelengthsNeeded() int {
 // no two same-direction same-wavelength transfers with overlapping arcs,
 // and (if wavelengths > 0) every wavelength within budget.
 func (s *Schedule) Validate(wavelengths int) error {
-	// One occupancy index serves every step, updated with per-step
-	// occupy/release deltas; every scratch buffer (requests, arcs,
-	// circuits) is reused across steps (see StepValidator).
+	// One occupancy index serves every step, moved between steps by
+	// rwa.Index.Transition; every scratch buffer is reused across steps
+	// (see StepValidator).
 	return s.ValidateWithIndex(rwa.NewIndex(s.Ring), wavelengths)
 }
 
@@ -121,7 +121,7 @@ func (s *Schedule) Validate(wavelengths int) error {
 // wavelengths, cut fiber segments — that every step must route around
 // (the index is reset once on entry, which preserves the seeds; a step
 // touching one fails with rwa.MaskedConflict). Validation runs over the
-// schedule's step stream with delta index updates between steps
+// schedule's step stream, moving the index from step to step
 // (validate.go); the errors are identical to the historical per-step
 // Reset+replay behaviour.
 func (s *Schedule) ValidateWithIndex(ix *rwa.Index, wavelengths int) error {

@@ -142,7 +142,7 @@ func copySchedule(s *core.Schedule) *core.Schedule {
 	return out
 }
 
-// TestValidateMatchesLegacy differentially pins the streamed delta
+// TestValidateMatchesLegacy differentially pins the streamed step
 // validator against the legacy Reset+replay oracle: on every corpus
 // schedule — clean and under a systematic set of corruptions (negative
 // wavelength, budget overflow, duplicated wavelength, self transfer,

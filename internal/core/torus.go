@@ -169,11 +169,11 @@ func ValidateTorus(s *Schedule, t topo.Torus, wavelengths int) error {
 // domain-bucketing map are reused across steps, so validation allocates
 // O(max step) regardless of the step count. Each (row/column, index)
 // domain is validated by Reset+replay on one shared index per dimension
-// rather than the ring validator's delta updates: persisting delta
-// state would need one occupancy index per row and column — O(N) words
-// per domain, O(N·(R+C)) total — which is exactly the memory class this
-// path exists to avoid, while per-domain replay stays near-linear in
-// the domain's transfer count.
+// rather than the ring validator's step transitions: holding each
+// domain's last step would need one occupancy index per row and column
+// — O(N) words per domain, O(N·(R+C)) total — which is exactly the
+// memory class this path exists to avoid, while per-domain replay
+// stays near-linear in the domain's transfer count.
 func ValidateTorusSource(src StepSource, t topo.Torus, wavelengths int) error {
 	type domain struct {
 		row bool

@@ -124,12 +124,21 @@ func gatherStep(groups []group, op tensor.ReduceOp) Step {
 // gatherStepInto is gatherStep writing into a reused buffer: the phase
 // is set and the transfers are appended to buf.Transfers[:0], keeping
 // the capacity across steps (the streaming producers emit through it).
+// A buffer too small for the step's transfers (one per non-
+// representative member) is replaced once, at exactly that size.
 func gatherStepInto(buf *Step, groups []group, op tensor.ReduceOp) {
 	phase := PhaseReduce
 	if op == tensor.OpCopy {
 		phase = PhaseBroadcast
 	}
 	buf.Phase = phase
+	count := 0
+	for _, g := range groups {
+		count += len(g.Members) - 1
+	}
+	if cap(buf.Transfers) < count {
+		buf.Transfers = make([]Transfer, 0, count)
+	}
 	buf.Transfers = buf.Transfers[:0]
 	for _, g := range groups {
 		for i, node := range g.Members {

@@ -28,7 +28,7 @@ func BenchmarkBuildWRHT(b *testing.B) {
 }
 
 // BenchmarkBuildWRHTStream drives the streamed pipeline end to end —
-// StreamWRHT into a StepValidator over the delta occupancy index, the
+// StreamWRHT into a StepValidator, whose index follows the stream, the
 // schedule never materialized — at sizes up to the million-node point
 // the materialized path cannot reach comfortably. ReportAllocs makes
 // allocation growth across sizes visible: the per-op totals track the

@@ -61,7 +61,7 @@ func liveHeap() uint64 {
 }
 
 // StreamedBuildMem drives a schedule stream end to end — validating
-// each step through the delta occupancy index when validate is set —
+// each step through a core.StepValidator when validate is set —
 // and reports the peak live heap along the way. The schedule is never
 // materialized; what the measurement sees is the producer's step
 // buffer, the occupancy index, and the validator scratch.

@@ -10,7 +10,7 @@ import (
 // pipeline: a million-node WRHT schedule must build AND validate
 // through the streamed path under an asserted live-heap ceiling per
 // node. The ceiling covers the producer's single-step buffer, the
-// delta occupancy index and the validator scratch — all O(max step) +
+// occupancy index and the validator's circuit buffers — all O(max step) +
 // O(index) — with headroom for allocator slack; the materialized
 // schedule alone would not fit under it.
 func TestStreamedBuildMemCeiling(t *testing.T) {

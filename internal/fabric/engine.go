@@ -25,7 +25,8 @@ type Options struct {
 	Observer Observer
 	// RWAStats, when non-nil, is attached to the occupancy index behind
 	// the overlap probes so first-fit/saturation counters accumulate
-	// there.
+	// there. A validated RunStream probes nothing: its step validator
+	// answers each boundary.
 	RWAStats *rwa.Stats
 	// BoundaryDisjoint, when non-nil, supplies the overlap mode's
 	// per-boundary disjointness decisions up front: entry k-1 answers
@@ -100,7 +101,7 @@ func (e Engine) RunSchedule(s *core.Schedule, dBytes float64) (Result, error) {
 		return Result{}, fmt.Errorf("fabric: BoundaryDisjoint carries %d boundaries for a %d-step schedule", len(bd), s.NumSteps())
 	}
 	res := Result{Fabric: f.Name(), Algorithm: s.Algorithm, Steps: s.NumSteps()}
-	if err := e.timeSteps(s.Source(), elems, nil, &res); err != nil {
+	if err := e.timeSteps(s.Source(), elems, nil, false, &res); err != nil {
 		return Result{}, err
 	}
 	return res, nil
@@ -113,10 +114,16 @@ func (e Engine) RunSchedule(s *core.Schedule, dBytes float64) (Result, error) {
 // RunSchedule, so streamed and materialized results are bit-identical
 // on the same schedule (pinned by the parity tests).
 //
+// Every step gets core.CheckStep's structural checks before it is
+// timed, since Fabric.CheckSchedule only sees the header here: a
+// malformed step is an error, never a panic in a fabric's cost model.
+//
 // Differences forced by single-pass consumption: validation
-// (Options.ValidateWavelengths) runs inline per step through the delta
-// occupancy index instead of up front, so on an invalid schedule any
-// Observer has already seen the steps before the offending one; the
+// (Options.ValidateWavelengths) runs inline per step through a
+// core.StepValidator instead of up front, so on an invalid schedule any
+// Observer has already seen the steps before the offending one. The
+// validator also answers the overlap probe of each boundary, so a
+// validated run keeps no copy of the previous step. The
 // StepEvent.Step pointer is only valid during the callback (it aliases
 // the producer's buffer); and a too-short Options.BoundaryDisjoint is
 // only detected when the stream outruns it. PerStep is still populated
@@ -138,7 +145,7 @@ func (e Engine) RunStream(src core.StepSource, dBytes float64) (Result, error) {
 		v = core.NewStepValidator(src.Ring(), rwa.NewIndex(src.Ring()), f.CircuitBudget())
 	}
 	res := Result{Fabric: f.Name(), Algorithm: src.Algorithm()}
-	if err := e.timeSteps(src, elems, v, &res); err != nil {
+	if err := e.timeSteps(src, elems, v, true, &res); err != nil {
 		return Result{}, err
 	}
 	if bd := e.Opts.BoundaryDisjoint; e.Opts.Overlap && bd != nil && len(bd) != max(res.Steps-1, 0) {
@@ -150,11 +157,12 @@ func (e Engine) RunStream(src core.StepSource, dBytes float64) (Result, error) {
 // timeSteps drains src through the per-step cost/overlap/observer
 // accounting shared by RunSchedule and RunStream, accumulating into
 // res (Steps included). v, when non-nil, validates each step before it
-// is timed. The previous step is retained in a reused copy buffer only
-// when the overlap probe needs it (Overlap set without
-// BoundaryDisjoint), keeping the streamed path's live set to at most
-// two steps.
-func (e Engine) timeSteps(src core.StepSource, elems int, v *core.StepValidator, res *Result) error {
+// is timed and answers the overlap probe of each boundary; otherwise
+// checkSteps runs core.CheckStep on each step. The previous step is
+// retained in a reused copy buffer only when the overlap probe needs
+// it (Overlap set without BoundaryDisjoint or a validator), keeping
+// the streamed path's live set to at most two steps.
+func (e Engine) timeSteps(src core.StepSource, elems int, v *core.StepValidator, checkSteps bool, res *Result) error {
 	f := e.Fabric
 	bd := e.Opts.BoundaryDisjoint
 	ring := src.Ring()
@@ -162,7 +170,7 @@ func (e Engine) timeSteps(src core.StepSource, elems int, v *core.StepValidator,
 	var probe *rwa.Probe
 	var prevTransmit float64
 	var prev core.Step
-	keepPrev := e.Opts.Overlap && bd == nil
+	keepPrev := e.Opts.Overlap && bd == nil && v == nil
 	for k := 0; ; k++ {
 		stp, ok := src.Next()
 		if !ok {
@@ -171,6 +179,10 @@ func (e Engine) timeSteps(src core.StepSource, elems int, v *core.StepValidator,
 		st := *stp
 		if v != nil {
 			if err := v.Step(stp); err != nil {
+				return err
+			}
+		} else if checkSteps {
+			if err := core.CheckStep(stp, k, ring.N); err != nil {
 				return err
 			}
 		}
@@ -195,6 +207,8 @@ func (e Engine) timeSteps(src core.StepSource, elems int, v *core.StepValidator,
 					return fmt.Errorf("fabric: BoundaryDisjoint carries %d boundaries but the stream has more steps", len(bd))
 				}
 				disjoint = bd[k-1]
+			} else if v != nil {
+				disjoint = v.Disjoint()
 			} else {
 				if probe == nil {
 					probe = rwa.NewProbe(ring)

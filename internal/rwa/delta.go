@@ -1,165 +1,158 @@
 package rwa
 
 import (
-	"fmt"
 	"slices"
 
 	"wrht/internal/topo"
 )
 
-// Delta updates between consecutive schedule steps. Validating a
-// schedule used to Reset+replay the whole occupancy index per step;
-// consecutive steps of real collectives share most of their circuits
-// (the ring algorithms reuse identical neighbour circuits every step,
-// WRHT's broadcast replays its gathers), so Advance applies only the
-// occupy/release diff. Advance ≡ Reset+replay is pinned bit-identically
-// by the differential tests in delta_test.go and the FuzzAssign
-// Release coverage.
+// Step transitions. A streaming validator keeps one index holding the
+// current step's circuits and moves it to the next step's with
+// Transition, never resetting and replaying it whole. The ring
+// algorithms repeat a step's neighbour circuits verbatim, which costs
+// one comparison per circuit; any other step clears the previous
+// step's cells and occupies the new ones, which costs what occupying
+// them did. Nothing is sorted to find circuits two steps share: WRHT's
+// consecutive steps share none (a group's distance-k member always
+// holds wavelength k−1). Transition ≡ Reset+replay is pinned
+// bit-identically by the differential tests in delta_test.go and
+// internal/core, and by FuzzAssign.
 
 // Circuit is one occupied (direction, arc, wavelength) resource — the
-// unit the delta API diffs between steps.
+// unit a step transition occupies and clears.
 type Circuit struct {
 	Dir topo.Direction
 	Arc topo.Arc
 	W   int
 }
 
-// Release clears wavelength w on every segment of arc a in direction
-// dir — the inverse of Occupy — repairing the 64-segment block
-// summaries by rescanning each affected block. Releasing a circuit that
-// shares cells with a pre-occupied (Preoccupy) mask or another live
-// circuit clears those cells too: the caller must only release circuits
-// it occupied and that were conflict-free when occupied (Advance's
-// contract), under which the cells are exclusively owned.
-func (ix *Index) Release(dir topo.Direction, a topo.Arc, w int) {
-	if w < 0 {
-		panic(fmt.Sprintf("rwa: negative wavelength %d", w))
-	}
-	word := w >> 6
-	if word >= ix.words {
-		return // never occupied this high
-	}
-	lo1, hi1, lo2, hi2 := ix.arcRanges(a)
-	mask := uint64(1) << (w & 63)
-	occRow := ix.occ[dir][word*ix.n : (word+1)*ix.n]
-	blkRow := ix.blk[dir][word*ix.nb : (word+1)*ix.nb]
-	unset := func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			occRow[s] &^= mask
-		}
-		for j := lo >> 6; j<<6 < hi; j++ {
-			// The block summary bit stays set iff any segment of the
-			// block — including those outside [lo, hi) — still holds it.
-			blo, bhi := j<<6, min(j<<6+64, ix.n)
-			live := false
-			for s := blo; s < bhi; s++ {
-				if occRow[s]&mask != 0 {
-					live = true
-					break
-				}
-			}
-			if !live {
-				blkRow[j] &^= mask
-			}
-		}
-	}
-	unset(lo1, hi1)
-	if hi2 > lo2 {
-		unset(lo2, hi2)
-	}
-}
-
-// compareCircuits is the total order the sorted-merge diff runs under.
-func compareCircuits(a, b Circuit) int {
-	if a.Dir != b.Dir {
-		return int(a.Dir) - int(b.Dir)
-	}
-	if a.W != b.W {
-		return a.W - b.W
-	}
-	if a.Arc.Lo != b.Arc.Lo {
-		return a.Arc.Lo - b.Arc.Lo
-	}
-	if a.Arc.Len != b.Arc.Len {
-		return a.Arc.Len - b.Arc.Len
-	}
-	return a.Arc.N - b.Arc.N
-}
-
-// Advance moves the index from "prev's circuits occupied" to "next's
-// circuits occupied" by applying the multiset diff: circuits present in
-// both steps are untouched, prev-only circuits are released, next-only
-// circuits are occupied. It assumes prev was conflict-free when
-// occupied and next is conflict-free (use AdvanceChecked otherwise);
-// the resulting occupancy is bit-identical to Reset + re-occupying
-// next. Pre-occupied (Preoccupy) cells are preserved: a valid prev
-// never shares cells with them, so no release touches them.
+// Transition moves the index from holding prev's circuits to holding
+// next's, both on top of the pre-occupied (Preoccupy) base cells. The
+// index must hold exactly the base plus prev, and prev must have been
+// conflict-free over the base when it was occupied; every wavelength
+// must be non-negative.
 //
-// Both slices are SORTED IN PLACE (diffing without reordering would
-// need private copies — at million-transfer steps that is tens of
-// megabytes of scratch, exactly the footprint the delta path exists to
-// avoid). The circuit multisets are unchanged, so callers that treat
-// the slices as sets, like StepValidator, pass them straight back as
-// the next call's prev. Advance performs zero heap allocations.
-func (ix *Index) Advance(prev, next []Circuit) {
-	ix.advance(prev, next, false)
-}
-
-// AdvanceChecked is Advance, additionally probing each newly occupied
-// circuit against the live occupancy (shared circuits, earlier
-// next-only circuits, and pre-occupied masked cells). It returns false
-// on the first conflict, leaving the index partially advanced — callers
-// then re-derive authoritative state (and the legacy-identical error)
-// via Validate, which resets on entry.
-func (ix *Index) AdvanceChecked(prev, next []Circuit) bool {
-	return ix.advance(prev, next, true)
-}
-
-func (ix *Index) advance(prev, next []Circuit, check bool) bool {
-	slices.SortFunc(prev, compareCircuits)
-	slices.SortFunc(next, compareCircuits)
-	// Two sorted-merge passes over the multiset diff. Every release must
-	// land before any occupy: a next-only circuit may claim cells a
-	// prev-only circuit is about to free, and occupying first would
-	// misreport a conflict.
-	i, j := 0, 0
-	for i < len(prev) {
-		switch {
-		case j >= len(next) || compareCircuits(prev[i], next[j]) < 0:
-			ix.Release(prev[i].Dir, prev[i].Arc, prev[i].W)
-			i++
-		case compareCircuits(prev[i], next[j]) > 0:
-			j++
-		default: // shared between the steps: keep as-is
-			i++
-			j++
-		}
-	}
-	i, j = 0, 0
-	for j < len(next) {
-		switch {
-		case i >= len(prev) || compareCircuits(prev[i], next[j]) > 0:
-			c := next[j]
-			if check && ix.Occupied(c.Dir, c.Arc, c.W) {
-				return false
+//   - When next lists exactly prev's circuits in the same order, the
+//     occupancy stays as it is.
+//   - Otherwise next's circuits are first probed against the held
+//     occupancy. Then prev's cells are cleared, the base cells are
+//     re-applied and next's circuits are occupied one by one, each
+//     checked against the base and the circuits before it.
+//
+// disjoint reports whether no circuit of next touches a cell that was
+// held before the transition, prev's or the base's. For two
+// conflict-free steps that is exactly whether their circuits can be up
+// at the same time, the engine's overlap probe. ok reports whether next
+// is conflict-free over the base. On false the index holds a partial
+// state: callers re-derive it with Validate, which resets on entry.
+// Neither slice is modified, and Transition allocates nothing once the
+// index has grown to next's wavelengths.
+func (ix *Index) Transition(prev, next []Circuit) (disjoint, ok bool) {
+	disjoint = true
+	if slices.Equal(prev, next) {
+		// Each circuit of a non-empty arc meets its own copy in prev.
+		for _, c := range next {
+			if c.Arc.Len > 0 {
+				return false, true
 			}
-			ix.Occupy(c.Dir, c.Arc, c.W)
-			j++
-		case compareCircuits(prev[i], next[j]) < 0:
-			i++
-		default:
-			i++
-			j++
+		}
+		return true, true
+	}
+	for _, c := range next {
+		if ix.Occupied(c.Dir, c.Arc, c.W) {
+			disjoint = false
+			break
 		}
 	}
-	return true
+	ix.clear(prev)
+	for _, c := range next {
+		if !ix.claim(c) {
+			return disjoint, false
+		}
+	}
+	return disjoint, true
+}
+
+// clear empties the cells and block summary bits of every circuit in
+// cs, then re-applies the base cells. A block bit is cleared without
+// looking at the block's other segments: when cs is everything the
+// index holds beyond the base, the only other live cells are base
+// cells, and re-applying the base sets their bits again. Circuits that
+// cover at least as many cells as one direction's rows in use (a WRHT
+// gather level covers about m/4 per node) are cleared by wiping the
+// rows instead, which is Reset.
+func (ix *Index) clear(cs []Circuit) {
+	cells := 0
+	for _, c := range cs {
+		cells += c.Arc.Len
+	}
+	if cells >= ix.words*ix.n {
+		ix.Reset()
+		return
+	}
+	for _, c := range cs {
+		word := c.W >> 6
+		lo1, hi1, lo2, hi2 := ix.arcRanges(c.Arc)
+		mask := uint64(1) << (c.W & 63)
+		occRow := ix.occ[c.Dir][word*ix.n : (word+1)*ix.n]
+		blkRow := ix.blk[c.Dir][word*ix.nb : (word+1)*ix.nb]
+		unset(occRow, blkRow, lo1, hi1, mask)
+		unset(occRow, blkRow, lo2, hi2, mask)
+	}
+	for _, b := range ix.base {
+		ix.Occupy(b.dir, b.arc, b.w)
+	}
+}
+
+// unset clears mask on segments [lo, hi) of one word's occupancy row
+// and on the summary bits of the blocks those segments fall in.
+func unset(occRow, blkRow []uint64, lo, hi int, mask uint64) {
+	seg := occRow[lo:hi]
+	for i := range seg {
+		seg[i] &^= mask
+	}
+	for j := lo >> 6; j<<6 < hi; j++ {
+		blkRow[j] &^= mask
+	}
+}
+
+// claim occupies circuit c, reporting whether none of its cells was
+// held before: Occupied and Occupy in one pass over the arc. On false
+// the index is in the partial state Transition reports.
+func (ix *Index) claim(c Circuit) bool {
+	word := c.W >> 6
+	if word >= ix.words {
+		ix.grow(word)
+		ix.words = word + 1
+	}
+	lo1, hi1, lo2, hi2 := ix.arcRanges(c.Arc)
+	mask := uint64(1) << (c.W & 63)
+	occRow := ix.occ[c.Dir][word*ix.n : (word+1)*ix.n]
+	blkRow := ix.blk[c.Dir][word*ix.nb : (word+1)*ix.nb]
+	return setFree(occRow, blkRow, lo1, hi1, mask) && setFree(occRow, blkRow, lo2, hi2, mask)
+}
+
+// setFree sets mask on segments [lo, hi) of one word's occupancy row
+// and on their blocks' summary bits, reporting whether none of the
+// segments held it before. It sets every segment even after a clash.
+func setFree(occRow, blkRow []uint64, lo, hi int, mask uint64) bool {
+	seg := occRow[lo:hi]
+	var held uint64
+	for i, v := range seg {
+		held |= v
+		seg[i] = v | mask
+	}
+	for j := lo >> 6; j<<6 < hi; j++ {
+		blkRow[j] |= mask
+	}
+	return held&mask == 0
 }
 
 // EqualOccupancy reports whether two indexes over the same ring size
 // hold exactly the same occupied cells and block summaries — the
-// differential-testing probe pinning Advance bit-identical to
+// differential-testing probe pinning Transition bit-identical to
 // Reset+replay. Wavelength words beyond either index's in-use range
-// compare as zero, so an index that grew and then released everything
+// compare as zero, so an index that grew and then cleared everything
 // high compares equal to one that never grew.
 func (ix *Index) EqualOccupancy(other *Index) bool {
 	if ix.n != other.n {

@@ -63,25 +63,28 @@ func FuzzAssign(f *testing.F) {
 				t.Fatalf("%v: assignment rejected by oracle validator: %v", strat, err)
 			}
 
-			// Release coverage: occupy the whole assignment, release a
-			// data-derived subset, and pin the surviving occupancy (cells
-			// and block summaries) bit-identical to an index that only ever
-			// occupied the kept circuits.
+			// Transition coverage: occupy the whole assignment, move to a
+			// step keeping a data-derived subset, and pin the surviving
+			// occupancy (cells and block summaries) bit-identical to an
+			// index that only ever occupied the kept circuits.
 			arcs := ArcsOf(ring, reqs)
 			ix := NewIndex(ring)
 			kept := NewIndex(ring)
+			var all, keep []Circuit
 			for i, q := range reqs {
-				ix.Occupy(q.Dir, arcs[i], asn[i])
-			}
-			for i, q := range reqs {
-				if data[(i*3)%max(len(data), 1)]&0x40 != 0 {
-					ix.Release(q.Dir, arcs[i], asn[i])
-				} else {
-					kept.Occupy(q.Dir, arcs[i], asn[i])
+				c := Circuit{Dir: q.Dir, Arc: arcs[i], W: asn[i]}
+				ix.Occupy(c.Dir, c.Arc, c.W)
+				all = append(all, c)
+				if data[(i*3)%max(len(data), 1)]&0x40 == 0 {
+					kept.Occupy(c.Dir, c.Arc, c.W)
+					keep = append(keep, c)
 				}
 			}
+			if _, ok := ix.Transition(all, keep); !ok {
+				t.Fatalf("%v: transition to a subset of a valid assignment reported a conflict", strat)
+			}
 			if !ix.EqualOccupancy(kept) {
-				t.Fatalf("%v: released occupancy differs from never-occupied reference", strat)
+				t.Fatalf("%v: transition occupancy differs from never-occupied reference", strat)
 			}
 		}
 	})

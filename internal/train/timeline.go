@@ -66,9 +66,11 @@ func (tl Timeline) Run() TimelineResult {
 	if tracedWorkers <= 0 {
 		tracedWorkers = 8
 	}
+	// The slowest worker is the last one under a positive skew and
+	// worker 0, at ComputeSec, under a negative one.
 	slowest := tl.ComputeSec
 	if tl.Workers > 1 {
-		slowest = tl.ComputeSec * (1 + tl.Skew)
+		slowest = tl.ComputeSec * max(1, 1+tl.Skew)
 	}
 	var now float64
 	for it := 0; it < tl.Iterations; it++ {

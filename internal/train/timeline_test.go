@@ -150,7 +150,7 @@ func desRun(tl Timeline) TimelineResult {
 	}
 	slowest := tl.ComputeSec
 	if tl.Workers > 1 {
-		slowest = tl.ComputeSec * (1 + tl.Skew)
+		slowest = tl.ComputeSec * max(1, 1+tl.Skew)
 	}
 	var iterate func(it int)
 	iterate = func(it int) {
@@ -236,6 +236,32 @@ func TestTimelineMatchesDESOracle(t *testing.T) {
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
 			t.Fatalf("config %d %+v: trace differs from the DES oracle's", i, tl)
+		}
+	}
+}
+
+// TestTimelineSharesAddUp: the critical-path compute and all-reduce
+// shares add up to the total for every skew in [−0.5, 1.5) — under a
+// negative skew the slowest worker is worker 0, which computes for
+// ComputeSec, not ComputeSec·(1+Skew).
+func TestTimelineSharesAddUp(t *testing.T) {
+	neg := Timeline{Workers: 4, Iterations: 1, ComputeSec: 1, Skew: -0.5}.Run()
+	if neg.TotalSec != 1 || neg.ComputeSec != 1 || neg.CommSec != 0 {
+		t.Fatalf("skew -0.5: %+v, want total 1, compute 1, comm 0", neg)
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 2000; i++ {
+		tl := Timeline{
+			Workers:    1 + rng.Intn(64),
+			Iterations: rng.Intn(41),
+			ComputeSec: rng.Float64() * 0.2,
+			CommSec:    rng.Float64() * 0.1,
+			Skew:       rng.Float64()*2 - 0.5,
+		}
+		res := tl.Run()
+		if sum := res.ComputeSec + res.CommSec; math.Abs(sum-res.TotalSec) > 1e-12*res.TotalSec {
+			t.Fatalf("config %d %+v: compute %g + comm %g = %g, total %g",
+				i, tl, res.ComputeSec, res.CommSec, sum, res.TotalSec)
 		}
 	}
 }
